@@ -3,8 +3,9 @@
 One subcommand per library operation, with deterministic plain-text output
 (stable term and member ordering) or ``--format=json``.  Exit codes follow
 the pipeline convention: 0 for success or a true verdict, 1 for a false
-verdict, 2 for usage errors, 3 for exceeded resource budgets.  An exit
-status of 1 from ``check`` and friends is a negative answer, not a failure.
+verdict, 2 for usage errors, 3 for exceeded resource budgets, 4 for an
+internal error (a bug, never an answer).  An exit status of 1 from
+``check`` and friends is a negative answer, not a failure.
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ def _cmd_count(ns):
 
 def _cmd_table(ns):
     max_n = ns.max_n
+    if max_n < 0:
+        raise DomainError(f"table size must be nonnegative, got {max_n}")
     lines = ["a(n,k):"]
     unrestricted = []
     for n in range(max_n + 1):
@@ -372,6 +375,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         code, lines, payload = ns.handler(ns)
+        if ns.format == "json":
+            lines = [json.dumps(payload)]
     except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=err)
         usage = getattr(ns, "_subparser", parser).format_usage().rstrip()
@@ -380,11 +385,12 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=err)
         return 3
-    if ns.format == "json":
-        print(json.dumps(payload), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=err)
+        return 4
+    for line in lines:
+        print(line, file=out)
     return code
 
 

@@ -23,8 +23,9 @@ _MAX_BRUTE_LENGTH = 20
 
 
 def _choose(m: int, r: int) -> int:
-    # C(m, 0) = 1 even at m = -1 (empty-word corner of the formulas);
-    # out-of-range arguments otherwise contribute 0.
+    # C(m, 0) = 1 even at m = -1 (the empty-word corner of the count
+    # formulas and of the class-size product); out-of-range arguments
+    # otherwise contribute 0.
     if r == 0:
         return 1
     if r < 0 or m < r:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
+from .enumeration import _choose
 from .equivalence import canonical_form
 from .errors import DomainError, ResourceLimitError
 from .words import final_height, height_polys, is_balanced, omega, prefix_heights
@@ -108,16 +108,6 @@ def equivalence_class(
                     nxt.append(other)
         frontier = nxt
     return EquivClass(members=frozenset(seen), representative=canonical_form(word))
-
-
-def _choose(m: int, r: int) -> int:
-    # C(m, 0) = 1 for every m >= -1 that the class-size product can produce;
-    # all other out-of-range arguments contribute 0.
-    if r == 0:
-        return 1
-    if r < 0 or m < r:
-        return 0
-    return comb(m, r)
 
 
 def class_size(word: str) -> int:

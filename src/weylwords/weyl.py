@@ -4,7 +4,7 @@ Every word maps to an operator generated by D and U with DU - UD = 1; this
 module expands that operator in the basis U^j D^i two independent ways
 (letter-by-letter reordering and the rook-number expansion over the word's
 staircase board), evaluates its action on monomials x^s in closed form, and
-counts fixed-support matrices over small prime fields by rank.  These are
+counts fixed-support matrices over prime fields by rank.  These are
 the cross-checking oracles for the combinatorial equivalence criteria.
 """
 
@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .equivalence import equivalent
 from .errors import DomainError, ResourceLimitError
 
 _MAX_BRUTE_CELLS = 20
-_MAX_FIELD_MATRICES = 2 * 10**7
-_CHUNK = 1 << 16
 
 
 class WeylElement:
@@ -305,58 +301,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _batch_ranks_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of matrices over F_p by vectorized Gaussian elimination.
-
-    ``mats`` has shape (batch, rows, cols) with entries in [0, p); it is
-    consumed destructively.
-    """
-    batch, nrows, ncols = mats.shape
-    pivot_rows = np.zeros(batch, dtype=np.int64)
-    row_index = np.arange(nrows)
-    for c in range(ncols):
-        colvals = mats[:, :, c]
-        candidates = (colvals != 0) & (row_index[None, :] >= pivot_rows[:, None])
-        has = candidates.any(axis=1)
-        if not has.any():
-            continue
-        bidx = np.nonzero(has)[0]
-        first = np.argmax(candidates[bidx], axis=1)
-        r0 = pivot_rows[bidx]
-        need_swap = first != r0
-        if need_swap.any():
-            bsw = bidx[need_swap]
-            fs = first[need_swap]
-            rs = r0[need_swap]
-            tmp = mats[bsw, fs, :].copy()
-            mats[bsw, fs, :] = mats[bsw, rs, :]
-            mats[bsw, rs, :] = tmp
-        piv = mats[bidx, r0, c]
-        uniq, inv_idx = np.unique(piv, return_inverse=True)
-        inv_vals = np.array([pow(int(x), -1, p) for x in uniq], dtype=mats.dtype)
-        mats[bidx, r0, :] = (mats[bidx, r0, :] * inv_vals[inv_idx][:, None]) % p
-        block = mats[bidx]
-        below = row_index[None, :] > r0[:, None]
-        factors = np.where(below, block[:, :, c], 0)
-        pivot_row_vals = block[np.arange(len(bidx)), r0, :]
-        mats[bidx] = (block - factors[:, :, None] * pivot_row_vals[:, None, :]) % p
-        pivot_rows[bidx] += 1
-    return pivot_rows
-
-
 def matrix_rank_counts(board: FerrersBoard, p: int, ambient_n: int) -> list[int]:
     """Count matrices over F_p supported on the board, split by rank.
 
-    Exhaustively enumerates all p^(cell count) fillings of the board's
-    cells (everything off the board is zero) and computes each rank by
-    Gaussian elimination mod p.  Returns [P_0, P_1, ...] up to the largest
-    feasible rank.  Refuses more than 2*10^7 matrices.
+    Everything off the board is zero.  Returns [P_0, P_1, ...] up to the
+    largest feasible rank, min(rows, columns).  Column DP, the q-analogue
+    of :func:`rook_numbers`: every earlier column lies in the first h
+    coordinates of a column of height h, so a filling of rank k keeps its
+    rank in p^k ways and raises it in p^h - p^k ways.
     """
     if not _is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
-    cells = list(board.cells())
-    ncells = len(cells)
-    if ncells == 0:
+    if not board.col_heights:
         return [1]
     nrows = board.num_rows
     ncols = board.num_columns
@@ -365,23 +321,9 @@ def matrix_rank_counts(board: FerrersBoard, p: int, ambient_n: int) -> list[int]
             f"board with {nrows} rows and {ncols} columns does not fit in"
             f" a {ambient_n} x {ambient_n} matrix"
         )
-    total = p**ncells
-    if total > _MAX_FIELD_MATRICES:
-        raise ResourceLimitError(
-            f"{total} matrices over F_{p} exceed the enumeration budget"
-            f" of {_MAX_FIELD_MATRICES}"
-        )
     max_rank = min(nrows, ncols)
-    counts = np.zeros(max_rank + 1, dtype=np.int64)
-    cell_rows = np.array([row - 1 for _, row in cells])
-    cell_cols = np.array([col - 1 for col, _ in cells])
-    weights = np.array([p**j for j in range(ncells)], dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        digits = (codes[:, None] // weights[None, :]) % p
-        mats = np.zeros((stop - start, nrows, ncols), dtype=np.int64)
-        mats[:, cell_rows, cell_cols] = digits
-        ranks = _batch_ranks_mod_p(mats, p)
-        counts += np.bincount(ranks, minlength=max_rank + 1)
-    return [int(c) for c in counts]
+    counts = [1] + [0] * max_rank
+    for h in board.col_heights:
+        for k in range(max_rank, 0, -1):
+            counts[k] = p**k * counts[k] + (p**h - p ** (k - 1)) * counts[k - 1]
+    return counts

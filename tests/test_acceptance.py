@@ -42,7 +42,7 @@ from weylwords import (
     wet_probability,
 )
 
-from conftest import all_words, balanced_words, random_word, words_up_to
+from conftest import all_words, balanced_words, random_word, rank_counts_by_subspaces, words_up_to
 from test_enumeration import TABLE_CDYCK_1, TABLE_CDYCK_2, TABLE_CLASSES, TABLE_TOTALS
 
 
@@ -233,18 +233,20 @@ def test_criterion_07_rook_equivalence():
             for u, v in combinations(words, 2):
                 assert (keys[u] == keys[v]) == (sigs[u] == sigs[v])
 
-    # Rank counts over F_2 and F_3 agree exactly when rook numbers do.
+    # Rank counts over F_2 and F_3 agree exactly when rook numbers do; the
+    # q-rook DP is checked against the subspace counter on every board.
     board_data = {}
 
     def data_for(board):
         if board not in board_data:
             kmax = min(board.num_columns, board.num_rows)
             ambient = max(board.num_columns, board.num_rows, 1)
-            board_data[board] = (
-                tuple(rook_numbers(board, kmax)),
-                tuple(matrix_rank_counts(board, 2, ambient)),
-                tuple(matrix_rank_counts(board, 3, ambient)),
-            )
+            ranks = []
+            for p in (2, 3):
+                counts = matrix_rank_counts(board, p, ambient)
+                assert counts == rank_counts_by_subspaces(board.cells(), p), (board, p)
+                ranks.append(tuple(counts))
+            board_data[board] = (tuple(rook_numbers(board, kmax)), *ranks)
         return board_data[board]
 
     def padded_eq(a, b):

@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import weylwords
 from weylwords.cli import run
 
 
@@ -189,6 +194,13 @@ class TestTable:
         assert "  n=4: 1 4 5 4 1" in out.splitlines()
         assert "totals: 1 2 4 8 15" in out
 
+    def test_negative_size_is_a_usage_error(self):
+        for fmt in ("plain", "json"):
+            code, out, err = invoke([f"--format={fmt}", "table", "-1"])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "usage: weylwords table" in err
+
 
 class TestPercolation:
     def test_series(self):
@@ -276,3 +288,42 @@ class TestUsageAndDeterminism:
             "wall": True,
             "coefficients": [1, 1, 2, 3],
         }
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's weylwords."""
+    src = str(Path(weylwords.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4(self, monkeypatch):
+        def broken(word):
+            raise ValueError("line one\nline two")
+
+        monkeypatch.setattr("weylwords.cli.canonical_form", broken)
+        for fmt in ("plain", "json"):
+            code, out, err = invoke([f"--format={fmt}", "canon", "DU"])
+            assert code == 4
+            assert out == ""
+            assert err == "internal error: ValueError: line one line two\n"
+
+    def test_deep_rewrite_crash_exits_4(self):
+        # On these 160-letter words the deformed rewriter recurses past the
+        # interpreter's limit; the crash must not read as the verdict
+        # DIFFERENT (exit 1).
+        prefix = "D" * 76 + "U" * 76
+        argv = ["downup-check", prefix + "DUUDUDUD", prefix + "UDDUUDUD", "--params=1,0,1"]
+        result = _python("-m", "weylwords.cli", *argv)
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("internal error: RecursionError: ")
+        assert result.stderr.count("\n") == 1
+
+
+class TestPackaging:
+    def test_import_needs_no_numpy(self):
+        result = _python("-c", "import weylwords, sys; assert 'numpy' not in sys.modules")
+        assert result.returncode == 0, result.stderr

@@ -25,7 +25,7 @@ from weylwords import (
     tensor_equivalent,
 )
 
-from conftest import all_words, random_word, words_up_to
+from conftest import all_words, random_word, rank_counts_by_subspaces, words_up_to
 
 
 class TestNormalOrder:
@@ -239,18 +239,20 @@ class TestActionsAgree:
                     assert actions_agree(u, v) == equivalent(u, v)
 
 
-def _rank_counts_reference(board, p):
-    # Tiny independent implementation: dense matrices as tuples, textbook
-    # row reduction over F_p.
+def _rank_counts_reference(cells, p):
+    # Tiny independent implementation: every filling of the (column, row)
+    # cells as a dense matrix, textbook row reduction over F_p.
     from itertools import product as iproduct
 
-    cells = list(board.cells())
-    nrows, ncols = board.num_rows, board.num_columns
+    cells = sorted(set(cells))
+    row_of = {r: i for i, r in enumerate(sorted({r for _, r in cells}))}
+    col_of = {c: i for i, c in enumerate(sorted({c for c, _ in cells}))}
+    nrows, ncols = len(row_of), len(col_of)
     counts = [0] * (min(nrows, ncols) + 1)
     for values in iproduct(range(p), repeat=len(cells)):
         mat = [[0] * ncols for _ in range(nrows)]
         for (col, row), v in zip(cells, values):
-            mat[row - 1][col - 1] = v
+            mat[row_of[row]][col_of[col]] = v
         rank = 0
         mat = [row[:] for row in mat]
         pivot_row = 0
@@ -289,7 +291,44 @@ class TestMatrixRankCounts:
     def test_matches_reference_implementation(self):
         for heights, p in [((1, 2), 2), ((2, 2), 3), ((1, 2, 2), 2), ((1, 1), 7)]:
             board = FerrersBoard(heights)
-            assert matrix_rank_counts(board, p, 4) == _rank_counts_reference(board, p)
+            assert matrix_rank_counts(board, p, 4) == _rank_counts_reference(board.cells(), p)
+
+    def test_subspace_oracle_matches_reference(self):
+        # The criterion-7 oracle, checked by plain enumeration on every
+        # staircase board of at most 8 cells and on supports of other shapes.
+        boards = {ferrers_board(w) for w in words_up_to(8)}
+        supports = [list(b.cells()) for b in boards if b.cell_count <= 8] + [
+            [(1, 1), (2, 2), (3, 1), (4, 2), (6, 1), (6, 2)],
+            [(1, 2), (1, 3), (2, 1), (3, 3), (3, 1)],
+            [(2, 5), (7, 5), (7, 1)],
+        ]
+        for cells in supports:
+            for p in (2, 3) if len(cells) <= 8 else (2,):
+                assert rank_counts_by_subspaces(cells, p) == _rank_counts_reference(cells, p)
+
+    def test_full_rectangles_match_the_closed_form(self):
+        # An m x n board holds every m x n matrix; the number of rank-k ones
+        # is prod_{i<k} (q^m - q^i)(q^n - q^i) / (q^k - q^i).
+        for (m, n), q in [((5, 6), 2), ((6, 10), 3), ((7, 7), 5), ((3, 12), 7)]:
+            board = FerrersBoard((m,) * n)
+            expected = []
+            for k in range(min(m, n) + 1):
+                num = den = 1
+                for i in range(k):
+                    num *= (q**m - q**i) * (q**n - q**i)
+                    den *= q**k - q**i
+                expected.append(num // den)
+            assert matrix_rank_counts(board, q, max(m, n)) == expected
+
+    def test_large_boards_sum_to_all_fillings(self):
+        # 30 to 60 cells: far past any enumeration.
+        for heights in [(5,) * 6, (1, 2, 3, 4, 5, 6, 7, 8), tuple(range(1, 11)), (6,) * 10]:
+            board = FerrersBoard(heights)
+            assert 30 <= board.cell_count <= 60
+            for p in (2, 3, 5, 7):
+                counts = matrix_rank_counts(board, p, 10)
+                assert sum(counts) == p**board.cell_count
+                assert all(c > 0 for c in counts)
 
     def test_non_prime_rejected(self):
         with pytest.raises(DomainError):
@@ -300,8 +339,11 @@ class TestMatrixRankCounts:
             matrix_rank_counts(FerrersBoard((3,)), 2, 2)
 
     def test_budget_guard(self):
-        with pytest.raises(ResourceLimitError):
-            matrix_rank_counts(FerrersBoard((5, 5, 5, 5, 5)), 2, 6)
+        # No budget guards the DP: all 2^25 fillings of this board are counted.
+        board = FerrersBoard((5, 5, 5, 5, 5))
+        counts = matrix_rank_counts(board, 2, 6)
+        assert sum(counts) == 2**25
+        assert counts == rank_counts_by_subspaces(board.cells(), 2)
 
 
 class TestTensorEquivalence:
