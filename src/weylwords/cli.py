@@ -25,6 +25,10 @@ from .words import parse_word
 
 _VERDICTS = {True: "EQUIVALENT", False: "DIFFERENT"}
 
+# Most decimal digits of one printed integer; a longer result exits 3.
+# Conversion is quadratic: 10^6 digits took 18 s (CPython 3.11, 2 vCPUs).
+MAX_OUTPUT_DIGITS = 10**6
+
 
 class _UsageError(Exception):
     def __init__(self, message: str, usage: str):
@@ -373,6 +377,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         return 2
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
+    old_digit_limit = sys.get_int_max_str_digits()  # restored for in-process callers
+    sys.set_int_max_str_digits(MAX_OUTPUT_DIGITS)
     try:
         code, lines, payload = ns.handler(ns)
         if ns.format == "json":
@@ -387,8 +393,14 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         return 3
     except Exception as exc:
         message = str(exc).replace("\n", " ")
+        if isinstance(exc, ValueError) and "integer string conversion" in message:
+            budget = f"MAX_OUTPUT_DIGITS = {MAX_OUTPUT_DIGITS} decimal digits"
+            print(f"resource limit: result exceeds the output budget ({budget})", file=err)
+            return 3
         print(f"internal error: {type(exc).__name__}: {message}", file=err)
         return 4
+    finally:
+        sys.set_int_max_str_digits(old_digit_limit)
     for line in lines:
         print(line, file=out)
     return code

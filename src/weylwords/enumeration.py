@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .equivalence import EquivSignature, up_normal_from_signature
+from .equivalence import EquivSignature, _ne_walk, up_normal_from_signature
 from .errors import DomainError, ResourceLimitError
 from .words import LaurentPoly
 
@@ -177,16 +177,22 @@ def is_cdyck(word: str, c) -> bool:
     return True
 
 
-def _signature_key(word: str) -> tuple[int, tuple[tuple[int, int], ...]]:
-    ne: dict[int, int] = {}
-    h = 0
-    for ch in word:
-        if ch == "U":
-            ne[h] = ne.get(h, 0) + 1
-            h += 1
-        else:
-            h -= 1
-    return h, tuple(sorted(ne.items()))
+def _signatures_by_k(n: int, keep=None) -> list[set]:
+    """Distinct signatures (e, sorted up-step heights) of the length-n words
+    passing ``keep``, per number of D's k = (n - e) / 2.  Guarded at n <= 20."""
+    if n < 0:
+        raise DomainError(f"need n >= 0, got {n}")
+    if n > _MAX_BRUTE_LENGTH:
+        raise ResourceLimitError(
+            f"brute-force enumeration limited to length {_MAX_BRUTE_LENGTH}, got {n}"
+        )
+    per_k: list[set] = [set() for _ in range(n + 1)]
+    for letters in product("DU", repeat=n):
+        word = "".join(letters)
+        if keep is None or keep(word):
+            e, ne = _ne_walk(word)
+            per_k[(n - e) // 2].add((e, tuple(sorted(ne.items()))))
+    return per_k
 
 
 def brute_force_class_counts(n: int, c=None) -> list[int]:
@@ -196,21 +202,9 @@ def brute_force_class_counts(n: int, c=None) -> list[int]:
     words when ``c`` is given), partitions by signature and returns the
     number of distinct classes for each k = 0 ... n.  Guarded at n <= 20.
     """
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    if n > _MAX_BRUTE_LENGTH:
-        raise ResourceLimitError(
-            f"brute-force enumeration limited to length {_MAX_BRUTE_LENGTH}, got {n}"
-        )
     threshold = None if c is None else Fraction(c)
-    seen: list[set] = [set() for _ in range(n + 1)]
-    for letters in product("DU", repeat=n):
-        word = "".join(letters)
-        if threshold is not None and not is_cdyck(word, threshold):
-            continue
-        k = word.count("D")
-        seen[k].add(_signature_key(word))
-    return [len(s) for s in seen]
+    keep = None if threshold is None else (lambda word: is_cdyck(word, threshold))
+    return [len(s) for s in _signatures_by_k(n, keep)]
 
 
 def cdyck_class_counts_by_normal_form(n: int, c) -> list[int]:
@@ -224,29 +218,13 @@ def cdyck_class_counts_by_normal_form(n: int, c) -> list[int]:
     threshold = Fraction(c)
     if threshold < 1:
         raise DomainError("the canonical-member characterization needs c >= 1")
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    if n > _MAX_BRUTE_LENGTH:
-        raise ResourceLimitError(
-            f"brute-force enumeration limited to length {_MAX_BRUTE_LENGTH}, got {n}"
-        )
-    per_k: list[set] = [set() for _ in range(n + 1)]
-    for letters in product("DU", repeat=n):
-        word = "".join(letters)
-        k = word.count("D")
-        if 2 * k > n:
-            continue
-        key = _signature_key(word)
-        per_k[k].add(key)
-    counts = []
-    for k, keys in enumerate(per_k):
-        good = 0
-        for fh, items in keys:
-            rep = up_normal_from_signature(EquivSignature(fh, LaurentPoly(dict(items))))
-            if is_cdyck(rep, threshold):
-                good += 1
-        counts.append(good)
-    return counts
+
+    def passes(key):
+        rep = up_normal_from_signature(EquivSignature(key[0], LaurentPoly(dict(key[1]))))
+        return is_cdyck(rep, threshold)
+
+    per_k = _signatures_by_k(n, lambda word: 2 * word.count("D") <= n)
+    return [sum(map(passes, keys)) for keys in per_k]
 
 
 def generating_function_table(max_n: int) -> dict[tuple[int, int], int]:

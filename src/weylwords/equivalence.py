@@ -1,12 +1,16 @@
 """Deciding when two D/U words represent the same operator under DU - UD = 1.
 
-Two words are equivalent exactly when they have the same final height and
-the same NE-height polynomial; that pair is the complete invariant
-(:func:`signature`).  The decision itself (:func:`equivalent`) is a
-single-array streaming comparison that runs in time and space linear in
-the word lengths.  Every equivalence class of rising words has a unique
-canonical member without a U D^k U factor (k >= 2); :func:`canonical_form`
-extends this to all words through the reversal involution.
+Two words are equivalent exactly when they share the final height e and
+the up-step heights a_g, the complete invariant (:func:`signature`).  The
+private ``_ne_walk`` reads (e, a) for every layer that needs no letter
+positions: signatures, canonical forms, class sizes and the count oracles.
+The down-step heights follow by the crossing identity (``_down_heights``).
+The height polynomials and the monomial action walk
+:func:`~weylwords.words.prefix_heights` instead, so that they check the
+invariant independently.  :func:`equivalent` is a single-array streaming
+comparison with an early exit, linear in time and space.  Every class of
+rising words has a unique member without a U D^k U factor (k >= 2);
+:func:`canonical_form` extends this to all words by the reversal involution.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ class EquivSignature(NamedTuple):
     ne_heights: LaurentPoly
 
 
-def signature(word: str) -> EquivSignature:
-    """The (final height, NE-height polynomial) pair deciding equivalence."""
+def _ne_walk(word: str) -> tuple[int, dict[int, int]]:
+    """The invariant walk: final height e and up-step heights {g: a_g}."""
     ne: dict[int, int] = {}
     h = 0
     for ch in word:
@@ -34,7 +38,25 @@ def signature(word: str) -> EquivSignature:
             h += 1
         else:
             h -= 1
-    return EquivSignature(h, LaurentPoly(ne))
+    return h, ne
+
+
+def _down_heights(e: int, a: dict[int, int]) -> dict[int, int]:
+    """Down-step heights {g: b_g} of the words with invariant (e, a).
+
+    The path crosses the edge (g, g+1) upward a_g times and downward
+    b_(g+1) times, so b_(g+1) = a_g - [0 <= g < e] + [e <= g < 0].
+    """
+    b = {g + 1: c for g, c in a.items()}
+    for g in range(min(0, e), max(0, e)):
+        b[g + 1] = b.get(g + 1, 0) + (1 if g < 0 else -1)
+    return {g: c for g, c in b.items() if c}
+
+
+def signature(word: str) -> EquivSignature:
+    """The (final height, NE-height polynomial) pair deciding equivalence."""
+    e, ne = _ne_walk(word)
+    return EquivSignature(e, LaurentPoly(ne))
 
 
 def equivalent(u: str, v: str) -> bool:

@@ -96,12 +96,6 @@ def _advance(states: dict[int, list[int]], t: int, wall: bool, order: int) -> di
     return merged
 
 
-def _initial_states(order: int) -> dict[int, list[int]]:
-    poly = [0] * (order + 1)
-    poly[0] = 1
-    return {1: poly}
-
-
 def _check_order(order: int) -> None:
     if order < 0:
         raise DomainError(f"need order >= 0, got {order}")
@@ -115,12 +109,15 @@ def column_states(t: int, order: int, wall: bool = False) -> dict[int, list[int]
     """Joint wet-mask distribution of column t, to the given order.
 
     Bit i of a mask refers to ``column_sites(t, wall)[i]``.  The polynomial
-    values are dense coefficient lists of length order + 1.
+    values are dense coefficient lists of length order + 1.  Past column
+    ``order`` only the all-dry mask survives, since column t costs t bonds.
     """
     _check_order(order)
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
-    states = _initial_states(order)
+    if t > order:
+        return {0: [1] + [0] * order}
+    states = {1: [1] + [0] * order}  # the origin, wet
     for step in range(t):
         states = _advance(states, step, wall, order)
     return states
@@ -134,12 +131,13 @@ def wet_probability(t: int, x: int, order: int, wall: bool = False) -> list[int]
     """
     if (t + x) % 2 != 0:
         raise DomainError(f"({t}, {x}) is not a lattice site (t + x must be even)")
-    sites = column_sites(t, wall)
+    if t < 0:
+        raise DomainError(f"need t >= 0, got {t}")
     states = column_states(t, order, wall)
     total = [0] * (order + 1)
-    if x not in sites:
+    if not (0 if wall else -t) <= x <= t:
         return total
-    bit = 1 << sites.index(x)
+    bit = 1 << (t - x) // 2  # x's place in column_sites(t, wall)
     for mask, poly in states.items():
         if mask & bit:
             total = [a + b for a, b in zip(total, poly)]
@@ -154,7 +152,7 @@ def mean_size_series(order: int, wall: bool = False) -> list[int]:
     """
     _check_order(order)
     total = [0] * (order + 1)
-    states = _initial_states(order)
+    states = {1: [1] + [0] * order}
     for t in range(order + 1):
         for mask, poly in states.items():
             wet = mask.bit_count()

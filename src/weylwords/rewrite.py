@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .enumeration import _choose
-from .equivalence import canonical_form
+from .equivalence import _down_heights, _ne_walk, canonical_form
 from .errors import DomainError, ResourceLimitError
-from .words import final_height, height_polys, is_balanced, omega, prefix_heights
+from .words import is_balanced, omega, prefix_heights
 
 
 class Move(enum.Enum):
@@ -121,21 +121,16 @@ def class_size(word: str) -> int:
 
     times a final factor C(a_0 + b_0, a_0) for balanced words, or
     C(a_0 + b_0 - 1, b_0) / C(a_0 + b_0 - 1, a_0) for strictly rising /
-    strictly falling ones.
+    strictly falling ones.  The a_i come from the invariant walk and the
+    b_i from them by the crossing identity.
     """
-    _, ne, se = height_polys(word)
-    a = {exp: c for exp, c in ne.items()}
-    b = {exp: c for exp, c in se.items()}
-    span = 2
-    if a:
-        span = max(span, *(abs(e) for e in a)) + 2
-    if b:
-        span = max(span, *(abs(e) for e in b)) + 2
+    fh, a = _ne_walk(word)
+    b = _down_heights(fh, a)
+    span = max(map(abs, [*a, *b]), default=0)
     size = 1
     for i in range(span + 1):
         size *= _choose(a.get(i, 0) + b.get(i + 2, 0) - 1, b.get(i + 2, 0))
         size *= _choose(b.get(-i, 0) + a.get(-i - 2, 0) - 1, a.get(-i - 2, 0))
-    fh = final_height(word)
     a0 = a.get(0, 0)
     b0 = b.get(0, 0)
     if fh == 0:

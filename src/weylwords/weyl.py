@@ -6,6 +6,8 @@ module expands that operator in the basis U^j D^i two independent ways
 staircase board), evaluates its action on monomials x^s in closed form, and
 counts fixed-support matrices over prime fields by rank.  These are
 the cross-checking oracles for the combinatorial equivalence criteria.
+The monomial action walks :func:`~weylwords.words.prefix_heights`, not the
+invariant walk, so it checks the signature independently.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .equivalence import equivalent
 from .errors import DomainError, ResourceLimitError
+from .words import prefix_heights
 
 _MAX_BRUTE_CELLS = 20
 
@@ -247,19 +250,14 @@ def apply_to_monomial(word: str, s: int) -> MonomialAction:
     is the product of (s + h_k - h_{i+1}) over all down-steps p_i, times
     x^(s + h_k).  Matches direct differentiation/multiplication.
     """
-    h = 0
-    after_downs = []
-    for ch in word:
-        if ch == "U":
-            h += 1
-        else:
-            h -= 1
-            after_downs.append(h)
+    heights = prefix_heights(word)
+    h = heights[-1]
     coefficient = 1
-    for ha in after_downs:
-        coefficient *= s + h - ha
-        if not coefficient:
-            break
+    for before, after in zip(heights, heights[1:]):
+        if after < before:
+            coefficient *= s + h - after
+            if not coefficient:
+                break
     return MonomialAction(coefficient, h)
 
 

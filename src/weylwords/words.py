@@ -7,12 +7,17 @@ lattice, its *standard path*: starting from (0, 0), each ``U`` is a step
 in one variable z record the multiset of heights of the path's vertices,
 of its up-steps, and of its down-steps.
 
+The positional walk :func:`prefix_heights` feeds the path, the height
+polynomials, the monomial action and the move sets; it stays apart from
+the invariant walk of :mod:`~weylwords.equivalence` so the two cross-check.
+
 All functions here are pure and all values immutable, so everything can be
 shared freely across threads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
@@ -201,16 +206,7 @@ def height_polys(word: str) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     vertices of up-steps, H_SE the starting vertices of down-steps.  The
     empty word gives (1, 0, 0): a single vertex at height 0.
     """
-    all_heights: dict[int, int] = {0: 1}
-    ne: dict[int, int] = {}
-    se: dict[int, int] = {}
-    h = 0
-    for ch in word:
-        if ch == "U":
-            ne[h] = ne.get(h, 0) + 1
-            h += 1
-        else:
-            se[h] = se.get(h, 0) + 1
-            h -= 1
-        all_heights[h] = all_heights.get(h, 0) + 1
-    return LaurentPoly(all_heights), LaurentPoly(ne), LaurentPoly(se)
+    heights = prefix_heights(word)
+    ne = Counter(h for h, ch in zip(heights, word) if ch == "U")
+    se = Counter(h for h, ch in zip(heights, word) if ch != "U")
+    return LaurentPoly(Counter(heights)), LaurentPoly(ne), LaurentPoly(se)

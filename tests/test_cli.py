@@ -1,13 +1,18 @@
 """Command-line surface: verdicts, exit codes, golden output, JSON schema."""
 
+import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weylwords
+from weylwords import cli, total_classes
 from weylwords.cli import run
 
 
@@ -327,3 +332,58 @@ class TestPackaging:
     def test_import_needs_no_numpy(self):
         result = _python("-c", "import weylwords, sys; assert 'numpy' not in sys.modules")
         assert result.returncode == 0, result.stderr
+
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestLongDecimals:
+    """Results past CPython's default 4,300-digit limit print in full."""
+
+    # total_classes(20571) has 4,300 digits, total_classes(20572) 4,301.
+    @pytest.mark.parametrize("n, digits", [(20571, 4300), (20572, 4301), (30000, 6271)])
+    def test_plain(self, n, digits):
+        code, out, err = invoke(["count", str(n)])
+        assert (code, err) == (0, "")
+        assert len(out) == digits + 1
+        with _no_digit_limit():
+            assert int(out) == total_classes(n)
+
+    @pytest.mark.parametrize("n", [20571, 20572, 30000])
+    def test_json(self, n):
+        code, out, err = invoke(["--format=json", "count", str(n)])
+        assert (code, err) == (0, "")
+        with _no_digit_limit():
+            payload = json.loads(out)
+            assert payload == {"command": "count", "n": n, "k": None, "c": None, "value": total_classes(n)}
+
+    def test_caller_limit_is_restored(self):
+        before = sys.get_int_max_str_digits()
+        invoke(["count", "30000"])
+        assert sys.get_int_max_str_digits() == before
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_over_the_budget_exits_3(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "MAX_OUTPUT_DIGITS", 5000)
+        code, out, err = invoke([f"--format={fmt}", "count", "30000"])
+        assert (code, out) == (3, "")
+        assert err == "resource limit: result exceeds the output budget (MAX_OUTPUT_DIGITS = 5000 decimal digits)\n"
+        code, out, _ = invoke([f"--format={fmt}", "count", "20572"])
+        assert code == 0
+
+    def test_long_class_size(self):
+        # A random 40,000-letter word's class size has about 11,700 digits.
+        rng = random.Random(40000)
+        word = "".join(rng.choice("DU") for _ in range(40000))
+        code, out, _ = invoke(["size", word])
+        assert code == 0
+        with _no_digit_limit():
+            assert int(out) == weylwords.class_size(word)

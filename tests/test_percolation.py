@@ -1,5 +1,6 @@
 """Percolation series against hand values and exhaustive bond enumeration."""
 
+import time
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from weylwords import (
     total_classes_cdyck,
     wet_probability,
 )
+from weylwords.percolation import _advance
 
 
 class TestWetProbability:
@@ -153,3 +155,30 @@ class TestAgainstBondEnumeration:
         for poly in wet_polys.values():
             total = [a + b for a, b in zip(total, poly)]
         assert mean_size_series(order, wall=wall) == total
+
+
+class TestPastTheOrder:
+    """Columns past ``order`` are answered without transfer steps."""
+
+    @pytest.mark.parametrize("wall", [False, True])
+    def test_short_cut_equals_transfer(self, wall):
+        for order in range(6):
+            states = column_states(order, order, wall=wall)
+            for t in range(order, order + 3):
+                states = _advance(states, t, wall, order)
+                assert column_states(t + 1, order, wall=wall) == states
+                for x in column_sites(t + 1, wall):
+                    assert wet_probability(t + 1, x, order, wall=wall) == [0] * (order + 1)
+
+    def test_far_column_returns_at_once(self):
+        start = time.perf_counter()
+        assert wet_probability(10**6, 0, 2) == [0, 0, 0]
+        assert wet_probability(10**6, 4, 14, wall=True) == [0] * 15
+        assert column_states(10**6, 3) == {0: [1, 0, 0, 0]}
+        assert time.perf_counter() - start < 1.0
+
+    def test_guards_still_apply(self):
+        with pytest.raises(ResourceLimitError):
+            wet_probability(10**6, 0, 15)
+        with pytest.raises(DomainError):
+            wet_probability(10**6, 1, 3)
