@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -387,3 +388,109 @@ class TestLongDecimals:
         assert code == 0
         with _no_digit_limit():
             assert int(out) == weylwords.class_size(word)
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["--help"], "usage: weylwords [-h]"),
+            (["check", "-h"], "usage: weylwords check [-h] u v"),
+        ],
+    )
+    def test_help_goes_to_the_given_stdout(self, capsys, argv, usage):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage) and out.endswith("\n")
+        assert capsys.readouterr() == ("", "")
+        assert run(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+class TestOutputBudget:
+    def test_conversion_wording_is_not_a_budget_error(self, monkeypatch):
+        message = "Exceeds the limit (4300 digits) for integer string conversion"
+
+        def broken(word):
+            raise ValueError(message)
+
+        monkeypatch.setattr("weylwords.cli.canonical_form", broken)
+        code, out, err = invoke(["canon", "DU"])
+        assert (code, out, err) == (4, "", f"internal error: ValueError: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_exact_digit_boundary(self, monkeypatch, fmt):
+        # total_classes(20572) has 4,301 digits
+        monkeypatch.setattr(cli, "MAX_OUTPUT_DIGITS", 4301)
+        code, out, err = invoke([f"--format={fmt}", "count", "20572"])
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(cli, "MAX_OUTPUT_DIGITS", 4300)
+        code, out, err = invoke([f"--format={fmt}", "count", "20572"])
+        assert (code, out) == (3, "")
+        budget = "MAX_OUTPUT_DIGITS = 4300 decimal digits"
+        assert err == f"resource limit: result exceeds the output budget ({budget})\n"
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_refused_from_the_bit_length_before_conversion(self, monkeypatch, fmt):
+        def no_conversion(*args):
+            raise AssertionError("converted an integer that is over the budget")
+
+        monkeypatch.setattr(cli, "MAX_OUTPUT_DIGITS", 5000)
+        monkeypatch.setattr(cli, "_big_decimal", no_conversion)
+        code, out, err = invoke([f"--format={fmt}", "count", "30000"])  # 6,271 digits
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: result exceeds the output budget")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_run_leaves_the_interpreter_digit_limit_alone(self, monkeypatch, fmt):
+        def forbidden(limit):
+            raise AssertionError("run changed the interpreter's digit limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", forbidden)
+        code, out, err = invoke([f"--format={fmt}", "count", "30000"])
+        assert (code, err) == (0, "")
+        assert len(out) > 6271
+
+
+class TestDecimalRenderer:
+    """``cli._decimal`` writes exactly what ``str`` writes, on both of its paths."""
+
+    def test_every_bit_length(self, monkeypatch):
+        rng = random.Random(5000)
+        values = [0, 1, -1] + [rng.getrandbits(b) | 1 << (b - 1) for b in range(1, 5001)]
+        with_str = [cli._decimal(v) for v in values]
+        monkeypatch.setattr(cli, "_STR_BITS", 200)  # force the split path from 201 bits up
+        assert [cli._decimal(v) for v in values] == with_str == [str(v) for v in values]
+        assert [cli._decimal(-v) for v in values[3:]] == [str(-v) for v in values[3:]]
+
+    def test_powers_of_ten_around_the_thresholds(self, monkeypatch):
+        # 10^3010 has 10,000 bits, the str() threshold; 10^60 has 200 bits
+        for k, str_bits in [(3010, cli._STR_BITS), (60, 200), (19, 64), (120, 64)]:
+            monkeypatch.setattr(cli, "_STR_BITS", str_bits)
+            for j in range(k - 3, k + 4):
+                for v in (10**j - 1, 10**j, 10**j + 1):
+                    with _no_digit_limit():
+                        assert cli._decimal(v) == str(v) and cli._decimal(-v) == str(-v)
+
+    def test_fractions(self):
+        fractions = [Fraction(-3, 4), Fraction(5), Fraction(0), Fraction(1, 2)]
+        assert [cli._decimal(f) for f in fractions] == ["-3/4", "5", "0", "1/2"]
+        big = Fraction(-(10**6000) - 7, 3**4000)
+        with _no_digit_limit():
+            assert cli._decimal(big) == str(big)
+
+    def test_seeded_large_ints(self):
+        rng = random.Random(100000)
+        for digits in (4301, 10**4, 3 * 10**4, 10**5):
+            v = rng.randrange(10 ** (digits - 1), 10**digits)
+            text = cli._decimal(v)
+            with _no_digit_limit():
+                assert text == str(v)
+
+    def test_json_writer_matches_json_dumps(self):
+        payload = {"a": [1, -2, [3, {"b": None}]], "t": True, "f": False, "s": "é\"\n"}
+        payload.update(e=[], d={}, w=["DU", ""])
+        assert cli._to_json(payload) == json.dumps(payload)
+        big = {"value": 7**20000, "row": [-(3**9000), 0]}
+        with _no_digit_limit():
+            assert cli._to_json(big) == json.dumps(big)
