@@ -126,7 +126,7 @@ def _plain(p: dict) -> list[str]:
             f"U^{t['u_power']} D^{t['d_power']} : {_decimal(t['coefficient'])}" for t in p["terms"]
         ]
     if command == "downup":
-        return [f"{t['word'] or '1'} : {_decimal(t['coefficient'])}" for t in p["terms"]]
+        return [f"{t['word'] or '1'} : {_decimal(t['coefficient'])}" for t in p["terms"]] or ["0"]
     if command == "rook":
         return [f"columns: {_row(p['col_heights'])}".rstrip(), f"rook: {_row(p['rook_numbers'])}"]
     if command == "count":
@@ -239,6 +239,8 @@ def _cmd_count(ns):
             f"closed-form counts need integer c >= 1, got {c}; use --brute for rational c"
         )
     ci = None if c is None else int(c)
+    if ci is not None:
+        enumeration._check_c(ci)
     if k is None and ci is None:
         value = enumeration.total_classes(n)
     elif k is None:

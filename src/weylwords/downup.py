@@ -5,16 +5,17 @@
 
 Read left to right these are rewriting rules; a monomial is *normal* when
 it contains neither DDU nor DUU as a factor, which pins it to the shape
-U^a (DU)^b D^c.  Each rewrite strictly decreases the sum of the positions
+U^a (DU)^b D^c.  Each rewrite strictly lowers m, the sum of the positions
 of the U's, so rewriting terminates, and the normal monomials form a basis
 of the algebra, so the resulting normal form is independent of the rewrite
 order.  When alpha + beta = 1 and gamma - beta = 1 two monomials have equal
 normal forms exactly when the words are Weyl-equivalent.
 
-Parameters are exact rationals.  Normal forms are memoized per (monomial,
-parameters, strategy); the memo is a plain dict with idempotent inserts,
-which is safe under CPython's GIL (entries for the same key are always
-equal), so calls may be issued from multiple threads.
+Parameters are exact rationals.  The rewriter is one loop over pending
+words, bucketed by m and taken in decreasing m: every word that rewrites
+into w has a larger m than w, so w's coefficient is complete when its
+bucket comes up, and each distinct word is rewritten once per call.
+Nothing is kept between calls and nothing recurses.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def is_normal_monomial(word: str) -> bool:
     return "DDU" not in word and "DUU" not in word
 
 
-_memo: dict[tuple[str, DownUpParams, str], dict[str, Fraction]] = {}
+# Right-hand sides of the relations, in the order of (alpha, beta, gamma).
+_REPLACEMENTS = {"DDU": ("DUD", "UDD", "D"), "DUU": ("UDU", "UUD", "U")}
 
 
 def _first_redex(word: str, strategy: str) -> int:
@@ -98,30 +100,28 @@ def _first_redex(word: str, strategy: str) -> int:
 
 
 def _normal_terms(word: str, params: DownUpParams, strategy: str) -> dict[str, Fraction]:
-    key = (word, params, strategy)
-    got = _memo.get(key)
-    if got is not None:
-        return got
-    idx = _first_redex(word, strategy)
-    if idx == -1:
-        result = {word: Fraction(1)}
-    else:
-        head, tail = word[:idx], word[idx + 3 :]
-        if word[idx : idx + 3] == "DDU":
-            replacements = (("DUD", params.alpha), ("UDD", params.beta), ("D", params.gamma))
-        else:
-            replacements = (("UDU", params.alpha), ("UUD", params.beta), ("U", params.gamma))
-        result = {}
-        for repl, coeff in replacements:
-            if not coeff:
+    params = [int(x) if x.denominator == 1 else x for x in params]  # ints compute faster
+    m = sum(i for i, ch in enumerate(word) if ch == "U")
+    pending = {m: {word: 1}}  # m -> {word with that m: coefficient}
+    result = {}
+    while pending:
+        for w, c in pending.pop(m, {}).items():
+            if not c:
                 continue
-            for w, c in _normal_terms(head + repl + tail, params, strategy).items():
-                new = result.get(w, Fraction(0)) + coeff * c
-                if new:
-                    result[w] = new
-                elif w in result:
-                    del result[w]
-    _memo[key] = result
+            idx = _first_redex(w, strategy)
+            if idx == -1:
+                result[w] = Fraction(c)
+                continue
+            head, redex, tail = w[:idx], w[idx : idx + 3], w[idx + 3 :]
+            # m drops by 1 and 2 for the alpha and beta words; the gamma word
+            # keeps one U of the redex at most and moves each tail U left by 2.
+            drops = (1, 2, idx + 2 + (redex == "DUU") + 2 * tail.count("U"))
+            for repl, coeff, drop in zip(_REPLACEMENTS[redex], params, drops):
+                if coeff:
+                    bucket = pending.setdefault(m - drop, {})
+                    new, term = head + repl + tail, coeff * c
+                    bucket[new] = bucket[new] + term if new in bucket else term
+        m -= 1
     return result
 
 

@@ -100,6 +100,12 @@ def total_classes(n: int) -> int:
     return int(value)
 
 
+def _check_c(c) -> None:
+    """The closed-form c-Dyck counts need an integer c >= 1."""
+    if not isinstance(c, int) or c < 1:
+        raise DomainError(f"c must be an integer >= 1, got {c!r}")
+
+
 def count_classes_cdyck(n: int, k: int, c: int) -> int:
     """a_c(n, k): classes meeting the words whose prefixes have #U >= c #D.
 
@@ -107,8 +113,7 @@ def count_classes_cdyck(n: int, k: int, c: int) -> int:
     C(n-k-1, k) - (c-2) sum_{j<k} C(n-k-1, j); for c = 1 this is a partial
     row sum of binomials, for c = 2 just C(n-k-1, k).
     """
-    if not isinstance(c, int) or c < 1:
-        raise DomainError(f"c must be an integer >= 1, got {c!r}")
+    _check_c(c)
     if k < 0 or n < (c + 1) * k:
         raise DomainError(f"need n >= (c+1)k >= 0, got n={n}, k={k}, c={c}")
     if n == 0:
@@ -124,8 +129,7 @@ def count_classes_cdyck_by_recursion(n: int, k: int, c: int) -> int:
     a_c(n, k) = a_c(n-1, k) + a_c(n-2, k-1) for n - 1 >= (c+1) k, while on
     the boundary a_c((c+1)k, k) = a_c((c+1)k - 1, k - 1).
     """
-    if not isinstance(c, int) or c < 1:
-        raise DomainError(f"c must be an integer >= 1, got {c!r}")
+    _check_c(c)
     if k < 0 or n < (c + 1) * k:
         raise DomainError(f"need n >= (c+1)k >= 0, got n={n}, k={k}, c={c}")
     memo: dict[tuple[int, int], int] = {}
@@ -147,6 +151,7 @@ def count_classes_cdyck_by_recursion(n: int, k: int, c: int) -> int:
 
 def total_classes_cdyck(n: int, c: int) -> int:
     """Row sum over k of a_c(n, k)."""
+    _check_c(c)
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     return sum(count_classes_cdyck(n, k, c) for k in range(n // (c + 1) + 1))

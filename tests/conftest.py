@@ -1,6 +1,7 @@
 """Shared enumeration helpers for the test suite."""
 
 from collections import defaultdict
+from fractions import Fraction
 from itertools import product
 
 
@@ -100,3 +101,43 @@ def _extend_span(basis, vec, p):
     ]
     # Reduced rows sort by pivot when sorted in descending order.
     return tuple(sorted(rows + [v], reverse=True))
+
+
+def du_normal_terms_recursive(word, params, strategy, memo):
+    """The deformed algebra's normal form by recursive rewriting: the
+    reference for ``downup._normal_terms``.
+
+    Contracts the leftmost or rightmost DDU/DUU factor, normalizes each of
+    the three resulting words recursively and sums them.  ``memo`` is the
+    caller's dict of results for these ``params`` and ``strategy``; the
+    recursion nests once per rewrite, so keep words short.
+    """
+    got = memo.get(word)
+    if got is not None:
+        return got
+    hits = [i for i in (word.find("DDU"), word.find("DUU")) if i != -1]
+    if strategy == "leftmost":
+        idx = min(hits) if hits else -1
+    else:
+        idx = max(word.rfind("DDU"), word.rfind("DUU"))
+    if idx == -1:
+        result = {word: Fraction(1)}
+    else:
+        head, tail = word[:idx], word[idx + 3 :]
+        alpha, beta, gamma = params
+        if word[idx : idx + 3] == "DDU":
+            replacements = (("DUD", alpha), ("UDD", beta), ("D", gamma))
+        else:
+            replacements = (("UDU", alpha), ("UUD", beta), ("U", gamma))
+        result = {}
+        for repl, coeff in replacements:
+            if not coeff:
+                continue
+            for w, c in du_normal_terms_recursive(head + repl + tail, params, strategy, memo).items():
+                new = result.get(w, Fraction(0)) + coeff * c
+                if new:
+                    result[w] = new
+                elif w in result:
+                    del result[w]
+    memo[word] = result
+    return result

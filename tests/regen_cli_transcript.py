@@ -20,7 +20,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 TRANSCRIPT = HERE / "cli_transcript.jsonl"
 
-_DEEP = "D" * 76 + "U" * 76  # the deformed rewriter recurses past the limit
+_DEEP = "D" * 76 + "U" * 76  # rewriting chains about 80 rewrites deep
 
 # Each is run as given and with ``--format=json`` in front.
 ARGVS = [

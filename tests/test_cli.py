@@ -192,6 +192,14 @@ class TestCount:
         code, _, err = invoke(["count", "30", "--brute"])
         assert code == 3
 
+    def test_c_below_one_is_a_usage_error(self):
+        for argv in (["count", "10"], ["count", "10", "4"], ["count", "10", "0"]):
+            for c in ("0", "-1", "-2"):
+                for fmt in ("plain", "json"):
+                    code, out, err = invoke([f"--format={fmt}", *argv, f"--c={c}"])
+                    assert code == 2 and out == ""
+                    assert err.startswith(f"error: c must be an integer >= 1, got {c}\n")
+
 
 class TestTable:
     def test_contains_known_rows(self):
@@ -253,6 +261,23 @@ class TestDownUp:
         payload = json.loads(out)
         assert payload["params"] == ["0", "1/2", "0"]
         assert payload["terms"] == [{"word": "UDD", "coefficient": "1/2"}]
+
+    def test_zero_element(self):
+        code, out, _ = invoke(["downup", "DDU", "--params=0,0,0"])
+        assert code == 0 and out == "0\n"
+        _, out, _ = invoke(["--format=json", "downup", "DDU", "--params=0,0,0"])
+        assert json.loads(out)["terms"] == []
+
+    def test_deep_pair_is_equivalent_in_a_subprocess(self):
+        # A recursive rewriter overflowed the interpreter's recursion limit on
+        # these 160-letter words and exited 4.
+        prefix = "D" * 76 + "U" * 76
+        argv = ["downup-check", prefix + "DUUDUDUD", prefix + "UDDUUDUD", "--params=1,0,1"]
+        plain = _python("-m", "weylwords.cli", *argv)
+        assert (plain.returncode, plain.stdout, plain.stderr) == (0, "EQUIVALENT\n", "")
+        result = _python("-m", "weylwords.cli", "--format=json", *argv)
+        assert result.returncode == 0 and result.stderr == ""
+        assert json.loads(result.stdout)["equivalent"] is True
 
 
 class TestUsageAndDeterminism:
@@ -316,16 +341,12 @@ class TestInternalError:
             assert out == ""
             assert err == "internal error: ValueError: line one line two\n"
 
-    def test_deep_rewrite_crash_exits_4(self):
-        # On these 160-letter words the deformed rewriter recurses past the
-        # interpreter's limit; the crash must not read as the verdict
-        # DIFFERENT (exit 1).
-        prefix = "D" * 76 + "U" * 76
-        argv = ["downup-check", prefix + "DUUDUDUD", prefix + "UDDUUDUD", "--params=1,0,1"]
-        result = _python("-m", "weylwords.cli", *argv)
+    def test_main_exits_4_in_a_subprocess(self):
+        code = "import weylwords.cli as cli; cli.canonical_form = None; cli.main()"
+        result = _python("-c", code, "canon", "DU")
         assert result.returncode == 4
         assert result.stdout == ""
-        assert result.stderr.startswith("internal error: RecursionError: ")
+        assert result.stderr.startswith("internal error: TypeError: ")
         assert result.stderr.count("\n") == 1
 
 

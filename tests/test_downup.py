@@ -1,5 +1,6 @@
 """Normal ordering in the deformed algebra and its equivalence question."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from weylwords import (
     DownUpElement,
     DownUpParams,
     WeylElement,
+    downup,
     du_equivalent,
     du_normal_order,
     equivalent,
@@ -17,7 +19,7 @@ from weylwords import (
     signature,
 )
 
-from conftest import words_up_to
+from conftest import du_normal_terms_recursive, words_up_to
 
 WEYL_LIKE = (DownUpParams.of(1, 0, 1), DownUpParams.of(Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
 
@@ -69,6 +71,56 @@ class TestDuNormalOrder:
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):
             du_normal_order("DDU", (1, 0, 1), strategy="middle")
+
+
+class TestAgainstTheRecursiveReference:
+    GRID = [
+        (0, 0, 0), (0, 0, 1), (0, -1, 1), (1, 0, 1), (2, -1, 0), (0, 1, 0), (0, 2, 0),
+        (1, 1, 1), (-1, -1, 1), (1, -1, 1), (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)),
+    ]
+
+    def test_every_short_word(self):
+        words = list(words_up_to(10))
+        for params in (DownUpParams.of(*p) for p in self.GRID):
+            for strategy in ("leftmost", "rightmost"):
+                memo = {}
+                for w in words:
+                    want = du_normal_terms_recursive(w, params, strategy, memo)
+                    got = du_normal_order(w, params, strategy=strategy)
+                    assert got.terms == want, (w, params, strategy)
+
+    def test_each_word_is_rewritten_once(self, monkeypatch):
+        # Words are taken in decreasing m, the sum of the U positions, so a
+        # word's coefficient is complete before it is first looked at.
+        seen = []
+
+        def recording(word, strategy):
+            seen.append(word)
+            return first_redex(word, strategy)
+
+        first_redex = downup._first_redex
+        monkeypatch.setattr(downup, "_first_redex", recording)
+        for w in words_up_to(9):
+            for strategy in ("leftmost", "rightmost"):
+                seen.clear()
+                du_normal_order(w, (1, 1, 1), strategy=strategy)
+                assert len(seen) == len(set(seen)), (w, strategy)
+
+    def test_deep_pair(self):
+        # Rewriting these 160-letter words chains about 80 rewrites deep,
+        # past the interpreter's recursion limit for a recursive rewriter.
+        prefix = "D" * 76 + "U" * 76
+        u, v = prefix + "DUUDUDUD", prefix + "UDDUUDUD"
+        assert equivalent(u, v)
+        assert du_normal_order(u, (1, 0, 1)) == du_normal_order(v, (1, 0, 1))
+        assert du_equivalent(u, v, (1, 0, 1))
+
+    def test_strategies_agree_on_a_long_word(self):
+        rng = random.Random(1)
+        w = "".join(rng.choice("DU") for _ in range(200))
+        form = du_normal_order(w, (1, 0, 1))
+        assert form == du_normal_order(w, (1, 0, 1), strategy="rightmost")
+        assert all(is_normal_monomial(key) for key in form.terms)
 
 
 class TestDuEquivalent:

@@ -160,6 +160,15 @@ class TestCdyckCounts:
         with pytest.raises(DomainError):
             count_classes_cdyck(5, 1, Fraction(3, 2))
 
+    def test_every_closed_form_checks_c(self):
+        for c in (0, -1, -2, Fraction(3, 2), 1.5):
+            with pytest.raises(DomainError):
+                count_classes_cdyck(10, 1, c)
+            with pytest.raises(DomainError):
+                count_classes_cdyck_by_recursion(10, 1, c)
+            with pytest.raises(DomainError):
+                total_classes_cdyck(10, c)
+
 
 class TestIsCdyck:
     def test_integer_threshold(self):
