@@ -23,7 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+# Words one normal ordering may rewrite; D^14 U^14 at (1,1,1) needs 516,021.
+MAX_REWRITES = 10**6
 
 
 class DownUpParams(NamedTuple):
@@ -104,6 +107,7 @@ def _normal_terms(word: str, params: DownUpParams, strategy: str) -> dict[str, F
     m = sum(i for i, ch in enumerate(word) if ch == "U")
     pending = {m: {word: 1}}  # m -> {word with that m: coefficient}
     result = {}
+    rewrites = 0
     while pending:
         for w, c in pending.pop(m, {}).items():
             if not c:
@@ -112,6 +116,12 @@ def _normal_terms(word: str, params: DownUpParams, strategy: str) -> dict[str, F
             if idx == -1:
                 result[w] = Fraction(c)
                 continue
+            if rewrites == MAX_REWRITES:
+                budget = f"MAX_REWRITES = {MAX_REWRITES} words rewritten"
+                raise ResourceLimitError(
+                    f"normal ordering exceeds the rewrite budget ({budget})", partial_count=rewrites
+                )
+            rewrites += 1
             head, redex, tail = w[:idx], w[idx : idx + 3], w[idx + 3 :]
             # m drops by 1 and 2 for the alpha and beta words; the gamma word
             # keeps one U of the redex at most and moves each tail U left by 2.

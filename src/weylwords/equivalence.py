@@ -2,15 +2,15 @@
 
 Two words are equivalent exactly when they share the final height e and
 the up-step heights a_g, the complete invariant (:func:`signature`).  The
-private ``_ne_walk`` reads (e, a) for every layer that needs no letter
-positions: signatures, canonical forms, class sizes and the count oracles.
-The down-step heights follow by the crossing identity (``_down_heights``).
+private ``_ne_walk`` is the one walk that reads (e, a), for every layer
+that needs no letter positions: the verdict :func:`equivalent`,
+signatures, canonical forms, class sizes and the count oracles.  The
+down-step heights follow by the crossing identity (``_down_heights``).
 The height polynomials and the monomial action walk
 :func:`~weylwords.words.prefix_heights` instead, so that they check the
-invariant independently.  :func:`equivalent` is a single-array streaming
-comparison with an early exit, linear in time and space.  Every class of
-rising words has a unique member without a U D^k U factor (k >= 2);
-:func:`canonical_form` extends this to all words by the reversal involution.
+invariant independently.  Every class of rising words has a unique member
+without a U D^k U factor (k >= 2); :func:`canonical_form` extends this to
+all words by the reversal involution.
 """
 
 from __future__ import annotations
@@ -29,16 +29,31 @@ class EquivSignature(NamedTuple):
 
 
 def _ne_walk(word: str) -> tuple[int, dict[int, int]]:
-    """The invariant walk: final height e and up-step heights {g: a_g}."""
-    ne: dict[int, int] = {}
-    h = 0
+    """The invariant walk: final height e and up-step heights {g: a_g}.
+
+    ``pos[g]`` counts up-steps from heights g >= 0, ``neg[-1-g]`` those below 0.
+    """
+    pos = [0]
+    neg: list[int] = []
+    h = lo = hi = 0
     for ch in word:
         if ch == "U":
-            ne[h] = ne.get(h, 0) + 1
+            if h >= 0:
+                pos[h] += 1
+            else:
+                neg[-1 - h] += 1
             h += 1
+            if h > hi:
+                hi = h
+                pos.append(0)
         else:
             h -= 1
-    return h, ne
+            if h < lo:
+                lo = h
+                neg.append(0)
+    a = {g: c for g, c in enumerate(pos) if c}
+    a.update((-1 - k, c) for k, c in enumerate(neg) if c)
+    return h, a
 
 
 def _down_heights(e: int, a: dict[int, int]) -> dict[int, int]:
@@ -60,58 +75,11 @@ def signature(word: str) -> EquivSignature:
 
 
 def equivalent(u: str, v: str) -> bool:
-    """True iff ``u`` and ``v`` are equal as operators.
+    """True iff ``u`` and ``v`` are equal as operators: their invariant walks agree.
 
-    Streaming comparison over one array indexed by height: reading ``u``,
-    each U increments the cell at the current height before moving up,
-    each D moves down; reading ``v`` decrements instead.  The words are
-    equivalent iff both reads end at the same height and the array is all
-    zeros.  Bails out early as soon as ``v`` leaves the height range that
-    ``u`` visited or drives a cell negative.  Linear time and space.
+    Equivalent words have equal length, so other pairs need no walk.  Linear time.
     """
-    # pos[i] holds the cell at height i, neg[k] the cell at height -1-k.
-    pos = [0]
-    neg: list[int] = []
-    i = 0
-    lo = hi = 0
-    for ch in u:
-        if ch == "U":
-            if i >= 0:
-                pos[i] += 1
-            else:
-                neg[-1 - i] += 1
-            i += 1
-            if i > hi:
-                hi = i
-                pos.append(0)
-        else:
-            i -= 1
-            if i < lo:
-                lo = i
-                neg.append(0)
-    u_final = i
-
-    i = 0
-    for ch in v:
-        if ch == "U":
-            if i >= 0:
-                a = pos[i] - 1
-                pos[i] = a
-            else:
-                a = neg[-1 - i] - 1
-                neg[-1 - i] = a
-            if a < 0:
-                return False
-            i += 1
-            if i > hi:
-                return False
-        else:
-            i -= 1
-            if i < lo:
-                return False
-    if i != u_final:
-        return False
-    return not any(pos) and not any(neg)
+    return len(u) == len(v) and _ne_walk(u) == _ne_walk(v)
 
 
 def is_up_normal(word: str) -> bool:
@@ -133,28 +101,20 @@ def up_normal_from_signature(sig: EquivSignature) -> str:
 
     The NE-height polynomial of an up-normal word
     D^a (UD)^{r_1} U ... (UD)^{r_h} U D^b has coefficient r_i + 1 at
-    exponent -a + i - 1, so a, h and the r_i can be read off directly;
-    b then follows from the final height.
+    exponent -a + i - 1, so a and the r_i can be read off directly; b then
+    follows from the final height.
     """
     ne = sig.ne_heights
     if ne.is_zero():
         if sig.final_height != 0:
             raise DomainError(f"no word has signature {sig}")
         return ""
-    lo = ne.min_exponent()
-    hi = ne.max_exponent()
-    h = hi - lo + 1
-    counts = [ne[lo + t] for t in range(h)]
-    a = -lo
-    b = h - a - sig.final_height
+    lo, hi = ne.min_exponent(), ne.max_exponent()
+    counts = [ne[g] for g in range(lo, hi + 1)]
+    a, b = -lo, hi + 1 - sig.final_height
     if a < 0 or b < 0 or any(c <= 0 for c in counts):
         raise DomainError(f"no rising word has signature {sig}")
-    parts = ["D" * a]
-    for mult in counts:
-        parts.append("UD" * (mult - 1))
-        parts.append("U")
-    parts.append("D" * b)
-    return "".join(parts)
+    return "D" * a + "".join("UD" * (c - 1) + "U" for c in counts) + "D" * b
 
 
 def up_normal_form(word: str) -> str:
@@ -162,7 +122,7 @@ def up_normal_form(word: str) -> str:
 
     Raises :class:`~weylwords.errors.DomainError` on non-rising input.
     The reconstruction is validated against :func:`is_up_normal` and
-    :func:`equivalent` and fails loudly if either check does not hold.
+    :func:`signature` and fails loudly if either check does not hold.
     """
     if not is_rising(word):
         raise DomainError(f"word {word!r} is not rising (#U < #D)")

@@ -27,6 +27,20 @@ def balanced_words(max_length):
             yield w
 
 
+def ne_walk_by_dict(word):
+    """Final height and up-step heights {g: a_g}, counted in one dict: the
+    reference for ``equivalence._ne_walk``."""
+    ne = {}
+    h = 0
+    for ch in word:
+        if ch == "U":
+            ne[h] = ne.get(h, 0) + 1
+            h += 1
+        else:
+            h -= 1
+    return h, ne
+
+
 def random_word(rng, length):
     return "".join(rng.choice("DU") for _ in range(length))
 

@@ -93,6 +93,7 @@ ARGVS = [
     ["downup-check", "DUU", "UUD", "--params=1,0,1"],
     ["downup-check", "DU", "UX", "--params=1,0"],
     ["downup-check", _DEEP + "DUUDUDUD", _DEEP + "UDDUUDUD", "--params=1,0,1"],
+    ["downup", "D" * 18 + "U" * 18, "--params=1,1,1"],  # past the rewrite budget
     ["frobnicate"],
     [],
 ]

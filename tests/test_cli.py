@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import weylwords
-from weylwords import cli, total_classes
+from weylwords import cli, downup, total_classes
 from weylwords.cli import run
 
 
@@ -278,6 +278,16 @@ class TestDownUp:
         result = _python("-m", "weylwords.cli", "--format=json", *argv)
         assert result.returncode == 0 and result.stderr == ""
         assert json.loads(result.stdout)["equivalent"] is True
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_over_the_rewrite_budget_exits_3(self, monkeypatch, fmt):
+        monkeypatch.setattr(downup, "MAX_REWRITES", 20)
+        budget = "(MAX_REWRITES = 20 words rewritten)"
+        word = "D" * 6 + "U" * 6
+        for argv in (["downup", word], ["downup-check", word, "U" * 6 + "D" * 6]):
+            code, out, err = invoke([f"--format={fmt}", *argv, "--params=1,1,1"])
+            assert (code, out) == (3, "")
+            assert err == f"resource limit: normal ordering exceeds the rewrite budget {budget}\n"
 
 
 class TestUsageAndDeterminism:

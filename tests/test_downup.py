@@ -9,6 +9,7 @@ from weylwords import (
     DomainError,
     DownUpElement,
     DownUpParams,
+    ResourceLimitError,
     WeylElement,
     downup,
     du_equivalent,
@@ -121,6 +122,46 @@ class TestAgainstTheRecursiveReference:
         form = du_normal_order(w, (1, 0, 1))
         assert form == du_normal_order(w, (1, 0, 1), strategy="rightmost")
         assert all(is_normal_monomial(key) for key in form.terms)
+
+
+class TestRewriteBudget:
+    def _rewrites(self, monkeypatch, word, params):
+        """The number of words rewritten in normalizing ``word``: those with a redex."""
+        found = []
+        first_redex = downup._first_redex
+
+        def recording(w, strategy):
+            found.append(first_redex(w, strategy))
+            return found[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(downup, "_first_redex", recording)
+            du_normal_order(word, params)
+        return sum(idx != -1 for idx in found)
+
+    def test_budget_is_exact(self, monkeypatch):
+        word = "D" * 6 + "U" * 6
+        expected = du_normal_order(word, (1, 1, 1))
+        needed = self._rewrites(monkeypatch, word, (1, 1, 1))
+        assert needed > 100
+        monkeypatch.setattr(downup, "MAX_REWRITES", needed)
+        assert du_normal_order(word, (1, 1, 1)) == expected
+        monkeypatch.setattr(downup, "MAX_REWRITES", needed - 1)
+        with pytest.raises(ResourceLimitError) as info:
+            du_normal_order(word, (1, 1, 1))
+        assert str(info.value) == (
+            f"normal ordering exceeds the rewrite budget (MAX_REWRITES = {needed - 1} words rewritten)"
+        )
+        assert info.value.partial_count == needed - 1
+
+    def test_equivalence_is_refused_too(self, monkeypatch):
+        monkeypatch.setattr(downup, "MAX_REWRITES", 10)
+        with pytest.raises(ResourceLimitError, match="MAX_REWRITES = 10 words"):
+            du_equivalent("D" * 6 + "U" * 6, "U" * 6 + "D" * 6, (1, 0, 1))
+
+    def test_largest_inputs_stay_well_under_the_budget(self, monkeypatch):
+        prefix = "D" * 76 + "U" * 76
+        assert 10 * self._rewrites(monkeypatch, prefix + "DUUDUDUD", (1, 0, 1)) < downup.MAX_REWRITES
 
 
 class TestDuEquivalent:

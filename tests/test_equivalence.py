@@ -31,6 +31,11 @@ from conftest import (
 )
 
 
+def _positional(w):
+    """(e, H_NE) from the positional walk, independent of the invariant walk."""
+    return final_height(w), height_polys(w)[1]
+
+
 class TestSignature:
     def test_duud(self):
         assert signature("DUUD") == EquivSignature(0, LaurentPoly({-1: 1, 0: 1}))
@@ -118,7 +123,8 @@ class TestEquivalent:
                 letters = list(u)
                 rng.shuffle(letters)
                 v = "".join(letters)
-            assert equivalent(u, v) == (signature(u) == signature(v))
+            # Against the positional walk: equivalent and signature share one walk.
+            assert equivalent(u, v) == (_positional(u) == _positional(v))
             checked += 1
         assert checked == 10**5
 
