@@ -12,8 +12,8 @@ independent oracle for all of it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb
+from itertools import accumulate, compress, product
+from math import comb, isqrt, lgamma, log
 
 from .equivalence import EquivSignature, _ne_walk, up_normal_from_signature
 from .errors import DomainError, ResourceLimitError
@@ -31,6 +31,77 @@ def _choose(m: int, r: int) -> int:
     if r < 0 or m < r:
         return 0
     return comb(m, r)
+
+
+def _product(factors) -> int:
+    # A balanced product tree, built as the factors stream in: the stack
+    # holds products of 2^j consecutive factors, j falling toward the top,
+    # and after the k-th factor as many merges follow as k has trailing
+    # zero bits.  Operands of each multiplication have similar sizes, so
+    # the cost is a few large multiplications instead of one quadratic
+    # chain, and only O(log n) partial products are alive.
+    stack = []
+    for count, f in enumerate(factors, 1):
+        while not count & 1:
+            f *= stack.pop()
+            count >>= 1
+        stack.append(f)
+    out = 1
+    while stack:
+        out *= stack.pop()
+    return out
+
+
+def _primes_up_to(n: int) -> list[int]:
+    # The primes <= n, for n >= 1, by a bytearray sieve.
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _binomial_product(pairs) -> int:
+    # prod C(m, r) over (m, r) pairs, with _choose's conventions.  With
+    # r' = min(r, m - r), B = sum log2 C(m, r') is the result's bit length
+    # up to rounding.  A pair with m > 2B has a small r' and goes to comb.
+    # The others are merged into one factorization: a difference array
+    # over 0..M gives e[k], the exponent of k in prod m!/(r'!(m-r')!), a
+    # sieve gives the primes <= M <= 2B, and the exponent of p is
+    # sum_j sum(e[p^j::p^j]).  The bound is 2B, not B, because a central
+    # C(m, m/2) has slightly fewer than m bits, and comb on it is slow
+    # (2.8 s at m = 5*10^5).
+    # All prime powers and direct combs go into one product tree.
+    kept = []
+    for m, r in pairs:
+        if r == 0:
+            continue
+        if r < 0 or m < r:
+            return 0
+        if r != m:
+            kept.append((m, min(r, m - r)))
+    bits = sum(lgamma(m + 1) - lgamma(r + 1) - lgamma(m - r + 1) for m, r in kept) / log(2)
+    factors = [comb(m, r) for m, r in kept if m > 2 * bits]
+    merged = [(m, r) for m, r in kept if m <= 2 * bits]
+    if merged:
+        top = max(m for m, _ in merged)
+        diff = [0] * (top + 1)
+        for m, r in merged:
+            diff[m] += 1
+            diff[r] -= 1
+            diff[m - r] -= 1
+        e = list(accumulate(reversed(diff)))
+        e.reverse()
+        for p in _primes_up_to(top):
+            x = 0
+            q = p
+            while q <= top:
+                x += sum(e[q::q])
+                q *= p
+            if x:
+                factors.append(p**x)
+    return _product(factors)
 
 
 def count_classes(n: int, k: int) -> int:

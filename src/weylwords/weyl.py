@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from .enumeration import _product
 from .equivalence import equivalent
 from .errors import DomainError, ResourceLimitError
 from .words import prefix_heights
@@ -248,17 +249,26 @@ def apply_to_monomial(word: str, s: int) -> MonomialAction:
 
     Reading the word as a path with heights h_0 = 0, ..., h_k, the result
     is the product of (s + h_k - h_{i+1}) over all down-steps p_i, times
-    x^(s + h_k).  Matches direct differentiation/multiplication.
+    x^(s + h_k).  Matches direct differentiation/multiplication.  The
+    factors are multiplied in order into leaves of a few hundred bits,
+    and the leaves by a balanced product tree: one running product would
+    cost time quadratic in the result's size.
     """
     heights = prefix_heights(word)
     h = heights[-1]
-    coefficient = 1
+    leaves = []
+    leaf = 1
     for before, after in zip(heights, heights[1:]):
         if after < before:
-            coefficient *= s + h - after
-            if not coefficient:
+            leaf *= s + h - after
+            if not leaf:
                 break
-    return MonomialAction(coefficient, h)
+            if leaf >> 256:
+                leaves.append(leaf)
+                leaf = 1
+    if leaves and leaf:
+        leaf *= _product(leaves)
+    return MonomialAction(leaf, h)
 
 
 def actions_agree(u: str, v: str) -> bool:

@@ -3,6 +3,7 @@
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 
 def all_words(n):
@@ -39,6 +40,57 @@ def ne_walk_by_dict(word):
         else:
             h -= 1
     return h, ne
+
+
+def class_size_by_binomials(word):
+    """Class size by the closed-form product, one binomial at a time into a
+    running product: the reference for ``rewrite.class_size``.  The up- and
+    down-step heights a_i, b_i are counted here straight from the path."""
+    a, b = {}, {}
+    h = 0
+    for ch in word:
+        if ch == "U":
+            a[h] = a.get(h, 0) + 1
+            h += 1
+        else:
+            b[h] = b.get(h, 0) + 1
+            h -= 1
+
+    def choose(m, r):
+        if r == 0:
+            return 1
+        if r < 0 or m < r:
+            return 0
+        return comb(m, r)
+
+    span = max(map(abs, [*a, *b]), default=0)
+    size = 1
+    for i in range(span + 1):
+        size *= choose(a.get(i, 0) + b.get(i + 2, 0) - 1, b.get(i + 2, 0))
+        size *= choose(b.get(-i, 0) + a.get(-i - 2, 0) - 1, a.get(-i - 2, 0))
+    a0, b0 = a.get(0, 0), b.get(0, 0)
+    if h == 0:
+        size *= choose(a0 + b0, a0)
+    elif h > 0:
+        size *= choose(a0 + b0 - 1, b0)
+    else:
+        size *= choose(a0 + b0 - 1, a0)
+    return size
+
+
+def monomial_action_sequential(word, s):
+    """(coefficient, shift) of the word's action on x^s, multiplying the
+    down-step factors s + h_k - h_(i+1) one at a time, zeros included: the
+    reference for ``weyl.apply_to_monomial``."""
+    heights = [0]
+    for ch in word:
+        heights.append(heights[-1] + (1 if ch == "U" else -1))
+    h = heights[-1]
+    coefficient = 1
+    for before, after in zip(heights, heights[1:]):
+        if after < before:
+            coefficient *= s + h - after
+    return coefficient, h
 
 
 def random_word(rng, length):

@@ -1,6 +1,8 @@
 """Closed-form class counts against the recursion and the exhaustive oracle."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +20,9 @@ from weylwords import (
     total_classes_cdyck,
 )
 from weylwords.enumeration import (
+    _binomial_product,
+    _primes_up_to,
+    _product,
     cdyck_class_counts_by_normal_form,
     generating_function_table,
 )
@@ -224,3 +229,66 @@ class TestCountTable:
             if k == 0:
                 assert value == 1
         assert table[(4, 2)] == 5
+
+
+def _choose_product(pairs):
+    out = 1
+    for m, r in pairs:
+        if r == 0:
+            continue
+        if r < 0 or m < r:
+            return 0
+        out *= comb(m, r)
+    return out
+
+
+class TestProducts:
+    def test_product_tree_matches_a_running_product(self):
+        rng = random.Random(41)
+        assert _product([]) == 1
+        assert _product([1, 1, 1]) == 1
+        assert _product([5, 0, 7]) == 0
+        for _ in range(200):
+            factors = [rng.randrange(-50, 10**rng.randrange(1, 30)) for _ in range(rng.randrange(40))]
+            expected = 1
+            for f in factors:
+                expected *= f
+            assert _product(factors) == expected
+            assert _product(iter(factors)) == expected
+
+    def test_primes_up_to(self):
+        for n in range(1, 200):
+            assert _primes_up_to(n) == [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+
+    def test_binomial_product_matches_comb_on_random_pairs(self):
+        # Pairs mix small and large m, centred and extreme r, and the
+        # out-of-range corners: r = 0 (also at m = -1), r = m, r > m, r < 0.
+        rng = random.Random(43)
+        for trial in range(400):
+            pairs = []
+            for _ in range(rng.randrange(8)):
+                m = rng.choice([rng.randrange(-1, 12), rng.randrange(40, 400), rng.randrange(10**4)])
+                kind = rng.random()
+                if kind < 0.1:
+                    r = 0
+                elif kind < 0.2:
+                    r = m
+                elif kind < 0.25 and trial % 3 == 0:
+                    r = m + rng.randrange(1, 4)
+                elif kind < 0.3 and trial % 3 == 0:
+                    r = -rng.randrange(1, 4)
+                else:
+                    r = rng.randrange(max(m, 0) + 1)
+                pairs.append((m, r))
+            assert _binomial_product(pairs) == _choose_product(pairs), pairs
+
+    def test_binomial_product_corners(self):
+        assert _binomial_product([]) == 1
+        assert _binomial_product([(-1, 0)]) == 1
+        assert _binomial_product([(7, 7), (0, 0), (5, 0)]) == 1
+        assert _binomial_product([(10**6, 3), (3, 4)]) == 0
+        assert _binomial_product([(9, -1), (10**4, 5000)]) == 0
+        assert _binomial_product([(-1, -1)]) == 0
+        assert _binomial_product([(2, 1)] * 50) == 2**50
+        assert _binomial_product([(10**6, 1), (10**6, 10**6 - 1)]) == 10**12
+        assert _binomial_product([(1000, 500), (999, 3)]) == comb(1000, 500) * comb(999, 3)

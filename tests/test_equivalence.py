@@ -94,12 +94,13 @@ class TestEquivalent:
         assert not equivalent("UU", "UUUD")
 
     def test_matches_signature_comparison_exhaustively(self):
+        # Against the positional walk: equivalent and signature share one walk.
         for n in range(0, 9):
             words = list(all_words(n))
-            sigs = {w: signature(w) for w in words}
+            keys = {w: _positional(w) for w in words}
             for i, u in enumerate(words):
                 for v in words[i:]:
-                    assert equivalent(u, v) == (sigs[u] == sigs[v])
+                    assert equivalent(u, v) == (keys[u] == keys[v])
 
     def test_matches_signature_on_random_pairs(self):
         # 10^5 pairs with lengths up to 10^4; most pairs are short so the
@@ -138,7 +139,7 @@ class TestEquivalent:
         letters = list(u)
         rng.shuffle(letters)
         w = "".join(letters)
-        assert equivalent(u, w) == (signature(u) == signature(w))
+        assert equivalent(u, w) == (_positional(u) == _positional(w))
 
     def test_equivalent_words_have_equal_letter_counts(self):
         for n in range(0, 9):

@@ -1,10 +1,12 @@
 """Move sets, class closure, the closed-form class size, and factorization."""
 
+import random
 from collections import defaultdict
 from math import comb
 
 import pytest
 
+from weylwords import enumeration, rewrite
 from weylwords import (
     DomainError,
     Move,
@@ -17,7 +19,69 @@ from weylwords import (
     signature,
 )
 
-from conftest import all_words, balanced_words, words_up_to
+from conftest import all_words, balanced_words, class_size_by_binomials, words_up_to
+
+
+def _drift(rng, n, up):
+    return "".join(rng.choices("UD", weights=(up, 1 - up), k=n))
+
+
+def _bridges(rng, n, block=4096):
+    # Balanced blocks: the path returns to 0 every ``block`` letters.
+    parts = []
+    for start in range(0, n, block):
+        half = min(block, n - start) // 2
+        letters = ["U"] * half + ["D"] * half
+        rng.shuffle(letters)
+        parts.append("".join(letters))
+    return "".join(parts)
+
+
+def _peaks(rng, n, peaks=4):
+    seg = n // (2 * peaks)
+    word = "".join(_drift(rng, seg, 0.8) + _drift(rng, seg, 0.2) for _ in range(peaks))
+    h = 2 * word.count("U") - len(word)
+    return word + ("D" * h if h > 0 else "U" * -h)
+
+
+def _low_span(rng, n, top):
+    # A walk reflected into heights 0..top.
+    out, h = [], 0
+    for _ in range(n):
+        up = h == 0 or (h < top and rng.random() < 0.5)
+        out.append("U" if up else "D")
+        h += 1 if up else -1
+    return "".join(out)
+
+
+def _falling(rng, n):
+    # After its first letter the path stays below 0 and drifts down.
+    out, h = ["D"], -1
+    for _ in range(n - 1):
+        up = h < -1 and rng.random() < 0.45
+        out.append("U" if up else "D")
+        h += 1 if up else -1
+    return "".join(out)
+
+
+def _shaped_words(seed=2024):
+    """(shape, word) for seeded words of 10^4 to 10^5 letters in every shape
+    whose binomials stress a different part of the class-size product."""
+    rng = random.Random(seed)
+    n = [rng.randrange(10**4, 10**5) for _ in range(8)]
+    k = [rng.randrange(5 * 10**3, 5 * 10**4) for _ in range(4)]
+    yield "bridges", _bridges(rng, n[0])
+    yield "bridges", _bridges(rng, 10**5)
+    yield "drift 0.52", _drift(rng, n[1], 0.52)
+    yield "drift 0.45", _drift(rng, n[2], 0.45)
+    yield "peaks", _peaks(rng, n[3])
+    for top, length in zip((2, 4, 20), n[4:7]):
+        yield f"low span {top}", _low_span(rng, length, top)
+    yield "(UD)^k", "UD" * k[0]
+    yield "(UD)^k UUDD", "UD" * k[1] + "UUDD"
+    yield "U^k D^k", "U" * k[2] + "D" * k[2]
+    yield "D^k U^k", "D" * k[3] + "U" * k[3]
+    yield "falling", _falling(rng, n[7])
 
 
 class TestNeighbors:
@@ -125,6 +189,58 @@ class TestClassSize:
                     assert class_size(rep) == count
                     total += count
                 assert total == comb(n, k)
+
+
+class TestClassSizeProduct:
+    """``class_size`` multiplies prime powers; the reference multiplies one
+    binomial at a time."""
+
+    def test_matches_binomial_by_binomial_on_every_short_word(self):
+        for w in words_up_to(12):
+            assert class_size(w) == class_size_by_binomials(w)
+
+    def test_matches_binomial_by_binomial_on_long_shaped_words(self):
+        for shape, w in _shaped_words():
+            assert class_size(w) == class_size_by_binomials(w), shape
+
+    def test_sieve_and_comb_stay_within_the_result_size(self, monkeypatch):
+        # Deterministic cost guard: comb only sees pairs whose m exceeds
+        # 2R (R = sum of min(r, m - r), a lower bound on the result's bit
+        # length), and the prime sieve is never longer than twice the
+        # result's bit length.
+        combs, sieves, seen = [], [], []
+        real_comb, real_primes = enumeration.comb, enumeration._primes_up_to
+        real_product = rewrite._binomial_product
+
+        def counting_comb(m, r):
+            combs.append(m)
+            return real_comb(m, r)
+
+        def counting_primes(n):
+            sieves.append(n)
+            return real_primes(n)
+
+        def recording_product(pairs):
+            seen.append(pairs)
+            return real_product(pairs)
+
+        monkeypatch.setattr(enumeration, "comb", counting_comb)
+        monkeypatch.setattr(enumeration, "_primes_up_to", counting_primes)
+        monkeypatch.setattr(rewrite, "_binomial_product", recording_product)
+        sieved = 0
+        for shape, w in _shaped_words():
+            for log in (combs, sieves, seen):
+                log.clear()
+            size = class_size(w)
+            (pairs,) = seen
+            bound = sum(min(r, m - r) for m, r in pairs if 0 < r < m)
+            assert all(m > 2 * bound for m in combs), shape
+            assert all(n <= 2 * size.bit_length() for n in sieves), shape
+            assert len(sieves) <= 1, shape
+            if shape in ("bridges", "low span 2"):
+                assert not combs and sieves, shape
+            sieved += len(sieves)
+        assert sieved >= 8
 
 
 class TestIrreducibleFactorization:

@@ -25,7 +25,13 @@ from weylwords import (
     tensor_equivalent,
 )
 
-from conftest import all_words, random_word, rank_counts_by_subspaces, words_up_to
+from conftest import (
+    all_words,
+    monomial_action_sequential,
+    random_word,
+    rank_counts_by_subspaces,
+    words_up_to,
+)
 
 
 class TestNormalOrder:
@@ -206,6 +212,39 @@ class TestMonomialAction:
                     coeff *= exp
                     exp -= 1
             assert apply_to_monomial(w, s) == MonomialAction(coeff, exp - s)
+
+    def test_matches_sequential_product_on_short_words(self):
+        # Small and negative s make zero factors common.
+        rng = random.Random(29)
+        zeros = 0
+        for _ in range(2000):
+            w = random_word(rng, rng.randrange(41))
+            s = rng.randrange(-12, 12)
+            coefficient, shift = monomial_action_sequential(w, s)
+            assert apply_to_monomial(w, s) == MonomialAction(coefficient, shift)
+            zeros += coefficient == 0
+        assert 100 < zeros < 1900
+
+    def test_matches_sequential_product_on_long_words(self):
+        rng = random.Random(31)
+        w = random_word(rng, 10**5)
+        heights = [0]
+        for ch in w:
+            heights.append(heights[-1] + (1 if ch == "U" else -1))
+        h = heights[-1]
+        # The smallest s with no zero factor, so every factor is small and
+        # nonzero; then the s whose zero factor is the word's last down-step.
+        s = max(heights) - h + 1
+        action = apply_to_monomial(w, s)
+        assert action == MonomialAction(*monomial_action_sequential(w, s))
+        assert action.coefficient.bit_length() > 10**5
+        last_down = max(i for i, ch in enumerate(w) if ch == "D")
+        s = heights[last_down + 1] - h
+        assert apply_to_monomial(w, s) == MonomialAction(0, h)
+        assert monomial_action_sequential(w, s) == (0, h)
+        w = w[:2000]
+        s = -(10**9)
+        assert apply_to_monomial(w, s) == MonomialAction(*monomial_action_sequential(w, s))
 
     def test_normal_order_acts_the_same_way(self):
         for w in words_up_to(8):
