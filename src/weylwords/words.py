@@ -32,14 +32,31 @@ def parse_word(text: str) -> str:
     :class:`~weylwords.errors.ParseError` naming its 1-based position.
     """
     word = text.upper()
+    _check_word(word, text)
+    return word
+
+
+def _check_word(word: str, text: str | None = None) -> None:
+    """Raise :class:`~weylwords.errors.ParseError` unless ``word`` is a D/U word.
+
+    One pass at C speed decides; only a failing word is read letter by
+    letter, to name the first bad one and its 1-based position.  The
+    message quotes ``text``'s character there (default ``word``'s), so a
+    caller that folded case can show what the user typed.
+    """
+    try:
+        if not word.encode("ascii").translate(None, b"DU"):
+            return
+    except (UnicodeEncodeError, AttributeError):  # non-ASCII, or not a str
+        pass
+    shown = word if text is None else text
     for pos, ch in enumerate(word):
         if ch != "D" and ch != "U":
             raise ParseError(
-                f"invalid character {text[pos]!r} at position {pos + 1}"
+                f"invalid character {shown[pos]!r} at position {pos + 1}"
                 " (expected D or U)",
                 position=pos + 1,
             )
-    return word
 
 
 def omega(word: str) -> str:

@@ -1,9 +1,11 @@
 """Shared enumeration helpers for the test suite."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import comb
+
+from weylwords import ParseError, prefix_heights
 
 
 def all_words(n):
@@ -40,6 +42,53 @@ def ne_walk_by_dict(word):
         else:
             h -= 1
     return h, ne
+
+
+def ne_walk_by_position(word):
+    """Final height and up-step heights {g: a_g} read off ``prefix_heights``
+    with one ``Counter``: a positional route to ``_ne_walk``'s invariant
+    that builds no polynomial."""
+    heights = prefix_heights(word)
+    return heights[-1], Counter(compress(heights, map("U".__eq__, word)))
+
+
+def parse_word_by_loop(text):
+    """``parse_word`` checking each character in a Python loop: the
+    reference for its C-speed check."""
+    word = text.upper()
+    for pos, ch in enumerate(word):
+        if ch != "D" and ch != "U":
+            raise ParseError(
+                f"invalid character {text[pos]!r} at position {pos + 1}"
+                " (expected D or U)",
+                position=pos + 1,
+            )
+    return word
+
+
+def drift_word(rng, n, up):
+    """n letters, each U with probability ``up``."""
+    return "".join(rng.choices("UD", weights=(up, 1 - up), k=n))
+
+
+def bridges_word(rng, n, block=4096):
+    """Uniform letters in balanced blocks: the path returns to 0 every
+    ``block`` letters (an odd n loses its last letter)."""
+    parts = []
+    for start in range(0, n, block):
+        half = min(block, n - start) // 2
+        letters = ["U"] * half + ["D"] * half
+        rng.shuffle(letters)
+        parts.append("".join(letters))
+    return "".join(parts)
+
+
+def peaks_word(rng, n, peaks=4):
+    """A balanced word that climbs and falls ``peaks`` times with a strong drift."""
+    seg = n // (2 * peaks)
+    word = "".join(drift_word(rng, seg, 0.8) + drift_word(rng, seg, 0.2) for _ in range(peaks))
+    h = 2 * word.count("U") - len(word)
+    return word + ("D" * h if h > 0 else "U" * -h)
 
 
 def class_size_by_binomials(word):

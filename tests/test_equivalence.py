@@ -25,6 +25,7 @@ from weylwords import (
 from conftest import (
     all_words,
     balanced_words,
+    ne_walk_by_position,
     random_balanced_commutation,
     random_word,
     words_up_to,
@@ -125,7 +126,7 @@ class TestEquivalent:
                 rng.shuffle(letters)
                 v = "".join(letters)
             # Against the positional walk: equivalent and signature share one walk.
-            assert equivalent(u, v) == (_positional(u) == _positional(v))
+            assert equivalent(u, v) == (ne_walk_by_position(u) == ne_walk_by_position(v))
             checked += 1
         assert checked == 10**5
 

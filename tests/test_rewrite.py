@@ -19,29 +19,15 @@ from weylwords import (
     signature,
 )
 
-from conftest import all_words, balanced_words, class_size_by_binomials, words_up_to
-
-
-def _drift(rng, n, up):
-    return "".join(rng.choices("UD", weights=(up, 1 - up), k=n))
-
-
-def _bridges(rng, n, block=4096):
-    # Balanced blocks: the path returns to 0 every ``block`` letters.
-    parts = []
-    for start in range(0, n, block):
-        half = min(block, n - start) // 2
-        letters = ["U"] * half + ["D"] * half
-        rng.shuffle(letters)
-        parts.append("".join(letters))
-    return "".join(parts)
-
-
-def _peaks(rng, n, peaks=4):
-    seg = n // (2 * peaks)
-    word = "".join(_drift(rng, seg, 0.8) + _drift(rng, seg, 0.2) for _ in range(peaks))
-    h = 2 * word.count("U") - len(word)
-    return word + ("D" * h if h > 0 else "U" * -h)
+from conftest import (
+    all_words,
+    balanced_words,
+    bridges_word,
+    class_size_by_binomials,
+    drift_word,
+    peaks_word,
+    words_up_to,
+)
 
 
 def _low_span(rng, n, top):
@@ -70,11 +56,11 @@ def _shaped_words(seed=2024):
     rng = random.Random(seed)
     n = [rng.randrange(10**4, 10**5) for _ in range(8)]
     k = [rng.randrange(5 * 10**3, 5 * 10**4) for _ in range(4)]
-    yield "bridges", _bridges(rng, n[0])
-    yield "bridges", _bridges(rng, 10**5)
-    yield "drift 0.52", _drift(rng, n[1], 0.52)
-    yield "drift 0.45", _drift(rng, n[2], 0.45)
-    yield "peaks", _peaks(rng, n[3])
+    yield "bridges", bridges_word(rng, n[0])
+    yield "bridges", bridges_word(rng, 10**5)
+    yield "drift 0.52", drift_word(rng, n[1], 0.52)
+    yield "drift 0.45", drift_word(rng, n[2], 0.45)
+    yield "peaks", peaks_word(rng, n[3])
     for top, length in zip((2, 4, 20), n[4:7]):
         yield f"low span {top}", _low_span(rng, length, top)
     yield "(UD)^k", "UD" * k[0]

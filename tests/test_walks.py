@@ -6,24 +6,39 @@ b_(g+1) = a_g - [0 <= g < e] + [e <= g < 0] (``_down_heights``).
 ``height_polys`` counts every height position by position from
 ``prefix_heights``, so each comparison below checks one walk against the
 other.  ``equivalent`` compares two invariant walks, and the walk itself is
-checked against a plain dict walk.
+checked against a plain dict walk: below the block cutoff, on both sides of
+it at every length residue mod 8, on long words of every shape, and entry
+by entry in its byte tables.
 """
 
 import random
 import sys
 
+import pytest
+
 from weylwords import (
     EquivSignature,
     LaurentPoly,
+    ParseError,
     apply_to_monomial,
+    canonical_form,
+    class_size,
     equivalence,
     equivalent,
     height_polys,
     signature,
+    tensor_equivalent,
 )
-from weylwords.equivalence import _down_heights, _ne_walk
+from weylwords.enumeration import brute_force_class_counts, cdyck_class_counts_by_normal_form
+from weylwords.equivalence import (
+    _BLOCK_CUTOFF,
+    _byte_tables,
+    _down_heights,
+    _ne_walk,
+    _pack_blocks,
+)
 
-from conftest import ne_walk_by_dict, words_up_to
+from conftest import bridges_word, drift_word, ne_walk_by_dict, peaks_word, words_up_to
 
 
 def _seeded_words():
@@ -66,6 +81,123 @@ class TestInvariantWalk:
         assert not equivalent("UD", "UDU")
         assert not equivalent("", "D")
         assert not equivalent("DUUD" * 50, "DUUD" * 50 + "UD")
+
+
+def _long_shapes():
+    rng = random.Random(36)
+    n = 10**6
+    shapes = [
+        bridges_word(rng, 10**5),
+        bridges_word(rng, n),
+        drift_word(rng, 10**5, 0.45),
+        drift_word(rng, n, 0.55),
+        peaks_word(rng, 4 * 10**5),
+        peaks_word(rng, n),
+        "U" * n,
+        "D" * n,
+        "UD" * (n // 2),
+        "DU" * (n // 2),
+        "UD" * 50_000,
+        "DU" * 50_000,
+    ]
+    # Cut to length residues 0, 1, ..., 7, 0, ... mod 8, so the padded last
+    # block varies.
+    for i, w in enumerate(shapes):
+        yield w[: len(w) - (len(w) - i) % 8]
+
+
+class TestBlockWalk:
+    def test_every_length_to_200(self):
+        # Below and above the cutoff, every length residue mod 8, with
+        # drifts that end both above and below the start.
+        rng = random.Random(19)
+        assert 8 < _BLOCK_CUTOFF < 200
+        for n in range(201):
+            for up in (0.2, 0.5, 0.8):
+                w = drift_word(rng, n, up)
+                assert _ne_walk(w) == ne_walk_by_dict(w)
+
+    def test_long_words_of_every_shape(self):
+        for w in _long_shapes():
+            assert _ne_walk(w) == ne_walk_by_dict(w)
+
+    def test_every_table_entry(self):
+        # Entry b is the walk of the block whose letters are b's bits,
+        # high bit first, 1 = U.
+        change, pairs = _byte_tables()
+        assert len(change) == len(pairs) == 256
+        for byte in range(256):
+            word = format(byte, "08b").translate(str.maketrans("01", "DU"))
+            assert _pack_blocks(word) == bytes([byte])
+            assert (change[byte], dict(pairs[byte])) == ne_walk_by_dict(word)
+
+    def test_packing_pads_the_last_block_with_d(self):
+        assert _pack_blocks("U") == bytes([0b10000000])
+        assert _pack_blocks("DUUDDDUUU") == bytes([0b01100011, 0b10000000])
+
+    def test_only_long_words_are_packed(self, monkeypatch):
+        def refuse(word):
+            raise AssertionError("packed a word below the cutoff")
+
+        monkeypatch.setattr(equivalence, "_pack_blocks", refuse)
+        w = "UUD" * _BLOCK_CUTOFF
+        assert _ne_walk(w[: _BLOCK_CUTOFF - 1]) == ne_walk_by_dict(w[: _BLOCK_CUTOFF - 1])
+        with pytest.raises(AssertionError, match="below the cutoff"):
+            _ne_walk(w[:_BLOCK_CUTOFF])
+
+    def test_brute_enumerations_stay_on_the_letter_walk(self, monkeypatch):
+        # The brute-force oracles walk millions of words of <= 20 letters;
+        # packing each one would cost more than its walk.
+        expected = (brute_force_class_counts(12), cdyck_class_counts_by_normal_form(12, 2))
+
+        def refuse(word):
+            raise AssertionError("packed a brute-force word")
+
+        monkeypatch.setattr(equivalence, "_pack_blocks", refuse)
+        assert brute_force_class_counts(12) == expected[0]
+        assert cdyck_class_counts_by_normal_form(12, 2) == expected[1]
+
+
+# Each bad text replaces the letters of a D/U word from its start, so the
+# first bad letter sits at the given offset into the text.  The packing's
+# int(..., 2) would accept "_", " ", "+" and "0b" in a string of bits.
+_BAD = [("X", 0), ("_", 0), (" ", 0), ("+", 0), ("b", 0), ("é", 0), ("u", 0), ("0b", 0), ("U0b", 1)]
+
+
+def _bad_words():
+    # (word, 1-based position) at the first, a middle and the last position,
+    # below and above the cutoff, in rising and in falling words.
+    for n in (11, _BLOCK_CUTOFF + 37, 1001):
+        for base in (("UUD" * n)[:n], ("DDU" * n)[:n]):
+            for text, offset in _BAD:
+                for at in (0, n // 2, n - len(text)):
+                    yield base[:at] + text + base[at + len(text) :], at + offset + 1
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            signature,
+            class_size,
+            canonical_form,
+            lambda w: equivalent(w, "D" * len(w)),
+            lambda w: equivalent("U" * len(w), w),
+            lambda w: tensor_equivalent([("UD", "UD"), ("D" * len(w), w)]),
+        ],
+        ids=["signature", "class_size", "canonical_form", "equivalent", "equivalent_right", "tensor"],
+    )
+    def test_first_bad_letter_is_named(self, call):
+        for word, position in _bad_words():
+            with pytest.raises(ParseError) as excinfo:
+                call(word)
+            assert excinfo.value.position == position, word
+            assert f"at position {position} " in str(excinfo.value)
+            assert repr(word[position - 1]) in str(excinfo.value)
+
+    def test_unequal_lengths_need_no_check(self):
+        assert not equivalent("UX", "UDU")
+        assert not tensor_equivalent([("DU", "UDX")])
 
 
 class TestCrossingIdentity:

@@ -20,7 +20,14 @@ from weylwords import (
     standard_path,
 )
 
-from conftest import random_word, words_up_to
+from conftest import parse_word_by_loop, random_word, words_up_to
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return type(err), str(err), err.position
 
 
 class TestParseWord:
@@ -38,6 +45,20 @@ class TestParseWord:
             parse_word("DUXD")
         assert "position 3" in str(excinfo.value)
         assert excinfo.value.position == 3
+
+    def test_fast_check_matches_the_letter_loop(self):
+        texts = ["", "dUuD", "UDdu", "ß", "Dß", "ı", "uı", "Ｄ", "DＤ", "\x00", "DU\x00", "é", "x"]
+        texts += ["u" * 70 + "ßD", "D" * 70 + "ı", b"du"]
+        for text in texts:
+            assert _outcome(parse_word, text) == _outcome(parse_word_by_loop, text), text
+
+    def test_long_word_with_one_bad_letter_near_its_end(self):
+        text = "dU" * 499_990 + "UDx" + "Du" * 8
+        assert len(text) == 10**6 - 1
+        outcome = _outcome(parse_word, text)
+        assert outcome == _outcome(parse_word_by_loop, text)
+        assert outcome[2] == 999_983
+        assert "'x'" in outcome[1]
 
 
 class TestOmega:
