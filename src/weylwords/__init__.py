@@ -9,9 +9,7 @@ from .downup import DownUpElement, DownUpParams, du_equivalent, du_normal_order,
 from .enumeration import (
     brute_force_class_counts,
     count_classes,
-    count_classes_by_recursion,
     count_classes_cdyck,
-    count_classes_cdyck_by_recursion,
     count_table,
     is_cdyck,
     total_classes,
@@ -39,7 +37,6 @@ from .weyl import (
     FerrersBoard,
     MonomialAction,
     WeylElement,
-    actions_agree,
     apply_to_monomial,
     ferrers_board,
     matrix_rank_counts,
@@ -47,7 +44,6 @@ from .weyl import (
     normal_order,
     rook_equivalent,
     rook_numbers,
-    rook_numbers_brute,
     tensor_equivalent,
 )
 from .words import (
@@ -77,7 +73,6 @@ __all__ = [
     "ParseError",
     "ResourceLimitError",
     "WeylElement",
-    "actions_agree",
     "apply_to_monomial",
     "brute_force_class_counts",
     "canonical_form",
@@ -85,9 +80,7 @@ __all__ = [
     "column_sites",
     "column_states",
     "count_classes",
-    "count_classes_by_recursion",
     "count_classes_cdyck",
-    "count_classes_cdyck_by_recursion",
     "count_table",
     "du_equivalent",
     "du_normal_order",
@@ -114,7 +107,6 @@ __all__ = [
     "reading_word",
     "rook_equivalent",
     "rook_numbers",
-    "rook_numbers_brute",
     "signature",
     "standard_path",
     "tensor_equivalent",

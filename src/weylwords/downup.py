@@ -135,6 +135,20 @@ def _normal_terms(word: str, params: DownUpParams, strategy: str) -> dict[str, F
     return result
 
 
+def _coerce_params(params) -> DownUpParams:
+    """``params`` as exact rationals; anything but three rationals is a DomainError.
+
+    A DownUpParams is coerced too, since its constructor takes any values;
+    a string is refused, though three of its characters would unpack.
+    """
+    if not isinstance(params, str):
+        try:
+            return DownUpParams.of(*params)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise DomainError(f"params must be three rationals (alpha, beta, gamma), got {params!r}")
+
+
 def du_normal_order(word: str, params, strategy: str = "leftmost") -> DownUpElement:
     """Normal form of a monomial: rewrite until no DDU or DUU factor remains.
 
@@ -143,13 +157,10 @@ def du_normal_order(word: str, params, strategy: str = "leftmost") -> DownUpElem
     result is the same either way (tested), the knob exists to make that
     checkable.
     """
-    if not isinstance(params, DownUpParams):
-        params = DownUpParams.of(*params)
-    return DownUpElement(_normal_terms(word, params, strategy))
+    return DownUpElement(_normal_terms(word, _coerce_params(params), strategy))
 
 
 def du_equivalent(u: str, v: str, params) -> bool:
     """True iff the two monomials are equal in the algebra with the given scalars."""
-    if not isinstance(params, DownUpParams):
-        params = DownUpParams.of(*params)
+    params = _coerce_params(params)
     return _normal_terms(u, params, "leftmost") == _normal_terms(v, params, "leftmost")

@@ -117,34 +117,6 @@ def count_classes(n: int, k: int) -> int:
     return sum((k - j + 1) * _choose(n - k - 1, j) for j in range(k + 1))
 
 
-def count_classes_by_recursion(n: int, k: int) -> int:
-    """a(n, k) evaluated independently through the two-term recursion.
-
-    Base cases are the central values a(2k, k) = (k+3) 2^(k-2) (and
-    a(0, 0) = 1); the recursion a(n, k) = a(n-1, k) + a(n-2, k-1) fills in
-    everything below the diagonal, symmetry everything above.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if 2 * k > n:
-        k = n - k
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(m: int, j: int) -> int:
-        if j == 0:
-            return 1
-        if m == 2 * j:
-            # central values; j = 1 gives 4 * 2^-1 = 2, kept integral
-            return 2 if j == 1 else (j + 3) * 2 ** (j - 2)
-        got = memo.get((m, j))
-        if got is None:
-            got = rec(m - 1, j) + rec(m - 2, j - 1)
-            memo[(m, j)] = got
-        return got
-
-    return rec(n, k)
-
-
 def _fibonacci(n: int) -> int:
     a, b = 0, 1
     for _ in range(n):
@@ -194,32 +166,6 @@ def count_classes_cdyck(n: int, k: int, c: int) -> int:
     )
 
 
-def count_classes_cdyck_by_recursion(n: int, k: int, c: int) -> int:
-    """a_c(n, k) through the recursion with the boundary identity.
-
-    a_c(n, k) = a_c(n-1, k) + a_c(n-2, k-1) for n - 1 >= (c+1) k, while on
-    the boundary a_c((c+1)k, k) = a_c((c+1)k - 1, k - 1).
-    """
-    _check_c(c)
-    if k < 0 or n < (c + 1) * k:
-        raise DomainError(f"need n >= (c+1)k >= 0, got n={n}, k={k}, c={c}")
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(m: int, j: int) -> int:
-        if j == 0:
-            return 1
-        got = memo.get((m, j))
-        if got is None:
-            if m == (c + 1) * j:
-                got = rec(m - 1, j - 1)
-            else:
-                got = rec(m - 1, j) + rec(m - 2, j - 1)
-            memo[(m, j)] = got
-        return got
-
-    return rec(n, k)
-
-
 def total_classes_cdyck(n: int, c: int) -> int:
     """Row sum over k of a_c(n, k)."""
     _check_c(c)
@@ -230,6 +176,8 @@ def total_classes_cdyck(n: int, c: int) -> int:
 
 def count_table(max_n: int) -> dict[tuple[int, int], int]:
     """All entries a(n, k) for n <= max_n as a map (n, k) -> count."""
+    if max_n < 0:
+        raise DomainError(f"table size must be nonnegative, got {max_n}")
     return {
         (n, k): count_classes(n, k) for n in range(max_n + 1) for k in range(n + 1)
     }
@@ -301,64 +249,3 @@ def cdyck_class_counts_by_normal_form(n: int, c) -> list[int]:
 
     per_k = _signatures_by_k(n, lambda word: 2 * word.count("D") <= n)
     return [sum(map(passes, keys)) for keys in per_k]
-
-
-def generating_function_table(max_n: int) -> dict[tuple[int, int], int]:
-    """Coefficients a(n, k), k <= n/2, from the closed-form rational series.
-
-    Expands (1 - t x^2)^3 / ((1 - x - t x^2)(1 - 2 t x^2)^2) as a truncated
-    bivariate power series over the integers, by long division of dense
-    coefficient grids.
-    """
-    nx = max_n + 1
-    nt = max_n // 2 + 1
-
-    def grid() -> list[list[int]]:
-        return [[0] * nt for _ in range(nx)]
-
-    def poly(entries: dict[tuple[int, int], int]) -> list[list[int]]:
-        g = grid()
-        for (i, j), v in entries.items():
-            if i < nx and j < nt:
-                g[i][j] = v
-        return g
-
-    def mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        out = grid()
-        for i in range(nx):
-            row = a[i]
-            for j in range(nt):
-                v = row[j]
-                if not v:
-                    continue
-                for i2 in range(nx - i):
-                    brow = b[i2]
-                    for j2 in range(nt - j):
-                        if brow[j2]:
-                            out[i + i2][j + j2] += v * brow[j2]
-        return out
-
-    def divide(num: list[list[int]], den: list[list[int]]) -> list[list[int]]:
-        assert den[0][0] == 1
-        out = grid()
-        for i in range(nx):
-            for j in range(nt):
-                acc = num[i][j]
-                for i2 in range(i + 1):
-                    for j2 in range(j + 1):
-                        if (i2, j2) != (0, 0) and den[i2][j2] and out[i - i2][j - j2]:
-                            acc -= den[i2][j2] * out[i - i2][j - j2]
-                out[i][j] = acc
-        return out
-
-    one_minus_tx2 = poly({(0, 0): 1, (2, 1): -1})
-    numerator = mul(mul(one_minus_tx2, one_minus_tx2), one_minus_tx2)
-    den1 = poly({(0, 0): 1, (1, 0): -1, (2, 1): -1})
-    den2 = poly({(0, 0): 1, (2, 1): -2})
-    denominator = mul(den1, mul(den2, den2))
-    series = divide(numerator, denominator)
-    return {
-        (n, k): series[n][k]
-        for n in range(max_n + 1)
-        for k in range(n // 2 + 1)
-    }

@@ -23,11 +23,11 @@ more than it saves (the brute-force enumerations walk millions of them),
 take the plain letter loop ``_letter_walk`` instead.
 
 Every walk raises :class:`~weylwords.errors.ParseError`, naming the 1-based
-position of the first letter other than ``D`` or ``U``, at every length;
-so do the public functions built on it (:func:`signature`,
-:func:`equivalent` on words of equal length, :func:`canonical_form`, class
-sizes).  Case is not folded: that is :func:`~weylwords.words.parse_word`'s
-job.
+position of the first letter other than ``D`` or ``U``, at every length,
+and on every word that is not a ``str``; so do the public functions built
+on it (:func:`signature`, :func:`equivalent` on words of equal length,
+:func:`canonical_form`, class sizes).  Case is not folded: that is
+:func:`~weylwords.words.parse_word`'s job.
 """
 
 from __future__ import annotations
@@ -117,8 +117,10 @@ def _ne_walk(word: str) -> tuple[int, dict[int, int]]:
     """The invariant walk: final height e and up-step heights {g: a_g}.
 
     Raises :class:`~weylwords.errors.ParseError` at the first letter other
-    than D or U, at every length.
+    than D or U, at every length, and on a word that is not a ``str``.
     """
+    if not isinstance(word, str):
+        _check_word(word)
     if len(word) < _BLOCK_CUTOFF:
         return _letter_walk(word)
     _check_word(word)

@@ -17,10 +17,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import _product
 from .equivalence import equivalent
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .words import prefix_heights
-
-_MAX_BRUTE_CELLS = 20
 
 
 class WeylElement:
@@ -181,39 +179,6 @@ def rook_numbers(board: FerrersBoard, max_k: int) -> list[int]:
     return r
 
 
-def rook_numbers_brute(cells: Iterable[tuple[int, int]], max_k: int | None = None) -> list[int]:
-    """Rook numbers of an arbitrary board by enumerating all placements.
-
-    Test oracle for :func:`rook_numbers`; also handles boards that are not
-    staircase-shaped.  Limited to 20 cells.
-    """
-    cell_list = sorted(set(cells))
-    n = len(cell_list)
-    if n > _MAX_BRUTE_CELLS:
-        raise ResourceLimitError(
-            f"brute-force rook count limited to {_MAX_BRUTE_CELLS} cells, got {n}",
-            partial_count=n,
-        )
-    if max_k is None:
-        max_k = n
-    col_bit = {c: 1 << idx for idx, c in enumerate(sorted({c for c, _ in cell_list}))}
-    row_bit = {r: 1 << idx for idx, r in enumerate(sorted({r for _, r in cell_list}))}
-    counts = [0] * (max_k + 1)
-
-    def place(idx: int, cols_used: int, rows_used: int, k: int) -> None:
-        if idx == n:
-            counts[k] += 1
-            return
-        place(idx + 1, cols_used, rows_used, k)
-        col, row = cell_list[idx]
-        cb, rb = col_bit[col], row_bit[row]
-        if k < max_k and not (cols_used & cb) and not (rows_used & rb):
-            place(idx + 1, cols_used | cb, rows_used | rb, k + 1)
-
-    place(0, 0, 0, 0)
-    return counts
-
-
 def rook_equivalent(u: str, v: str) -> bool:
     """True iff the boards of ``u`` and ``v`` have identical rook numbers.
 
@@ -269,20 +234,6 @@ def apply_to_monomial(word: str, s: int) -> MonomialAction:
     if leaves and leaf:
         leaf *= _product(leaves)
     return MonomialAction(leaf, h)
-
-
-def actions_agree(u: str, v: str) -> bool:
-    """True iff both words act identically on every monomial x^s.
-
-    It suffices to compare shifts and coefficients for s = 0 ... maxD + 1:
-    the coefficient is a polynomial in s of degree at most the number of
-    D's, so agreement on maxD + 2 points forces identity.
-    """
-    smax = max(u.count("D"), v.count("D")) + 1
-    for s in range(smax + 1):
-        if apply_to_monomial(u, s) != apply_to_monomial(v, s):
-            return False
-    return True
 
 
 def tensor_equivalent(pairs: Iterable[tuple[str, str]]) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 _OMEGA = str.maketrans("DU", "UD")
 
@@ -42,7 +42,8 @@ def _check_word(word: str, text: str | None = None) -> None:
     One pass at C speed decides; only a failing word is read letter by
     letter, to name the first bad one and its 1-based position.  The
     message quotes ``text``'s character there (default ``word``'s), so a
-    caller that folded case can show what the user typed.
+    caller that folded case can show what the user typed.  A word that is
+    not a ``str`` fails too, even when its items are all D/U letters.
     """
     try:
         if not word.encode("ascii").translate(None, b"DU"):
@@ -57,6 +58,7 @@ def _check_word(word: str, text: str | None = None) -> None:
                 " (expected D or U)",
                 position=pos + 1,
             )
+    raise ParseError(f"a word must be a str, got {type(word).__name__}")
 
 
 def omega(word: str) -> str:
@@ -109,7 +111,7 @@ def reading_word(path: Iterable[tuple[int, int]]) -> str:
         elif (x1 - x0, y1 - y0) == (1, -1):
             letters.append("D")
         else:
-            raise ValueError(f"not a diagonal step: {(x0, y0)} -> {(x1, y1)}")
+            raise DomainError(f"not a diagonal step: {(x0, y0)} -> {(x1, y1)}")
     return "".join(letters)
 
 

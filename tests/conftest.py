@@ -1,11 +1,15 @@
-"""Shared enumeration helpers for the test suite."""
+"""Shared enumeration helpers and the independent references the tests check against."""
 
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import compress, product
 from math import comb
+from typing import Iterable
 
-from weylwords import ParseError, prefix_heights
+from weylwords import DomainError, ParseError, ResourceLimitError, apply_to_monomial, prefix_heights
+from weylwords.enumeration import _check_c
+
+_MAX_BRUTE_CELLS = 20
 
 
 def all_words(n):
@@ -127,6 +131,119 @@ def class_size_by_binomials(word):
     return size
 
 
+def count_classes_by_recursion(n: int, k: int) -> int:
+    """a(n, k) evaluated independently through the two-term recursion.
+
+    Base cases are the central values a(2k, k) = (k+3) 2^(k-2) (and
+    a(0, 0) = 1); the recursion a(n, k) = a(n-1, k) + a(n-2, k-1) fills in
+    everything below the diagonal, symmetry everything above.
+    """
+    if n < 0 or k < 0 or k > n:
+        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if 2 * k > n:
+        k = n - k
+    memo: dict[tuple[int, int], int] = {}
+
+    def rec(m: int, j: int) -> int:
+        if j == 0:
+            return 1
+        if m == 2 * j:
+            # central values; j = 1 gives 4 * 2^-1 = 2, kept integral
+            return 2 if j == 1 else (j + 3) * 2 ** (j - 2)
+        got = memo.get((m, j))
+        if got is None:
+            got = rec(m - 1, j) + rec(m - 2, j - 1)
+            memo[(m, j)] = got
+        return got
+
+    return rec(n, k)
+
+def count_classes_cdyck_by_recursion(n: int, k: int, c: int) -> int:
+    """a_c(n, k) through the recursion with the boundary identity.
+
+    a_c(n, k) = a_c(n-1, k) + a_c(n-2, k-1) for n - 1 >= (c+1) k, while on
+    the boundary a_c((c+1)k, k) = a_c((c+1)k - 1, k - 1).
+    """
+    _check_c(c)
+    if k < 0 or n < (c + 1) * k:
+        raise DomainError(f"need n >= (c+1)k >= 0, got n={n}, k={k}, c={c}")
+    memo: dict[tuple[int, int], int] = {}
+
+    def rec(m: int, j: int) -> int:
+        if j == 0:
+            return 1
+        got = memo.get((m, j))
+        if got is None:
+            if m == (c + 1) * j:
+                got = rec(m - 1, j - 1)
+            else:
+                got = rec(m - 1, j) + rec(m - 2, j - 1)
+            memo[(m, j)] = got
+        return got
+
+    return rec(n, k)
+
+def generating_function_table(max_n: int) -> dict[tuple[int, int], int]:
+    """Coefficients a(n, k), k <= n/2, from the closed-form rational series.
+
+    Expands (1 - t x^2)^3 / ((1 - x - t x^2)(1 - 2 t x^2)^2) as a truncated
+    bivariate power series over the integers, by long division of dense
+    coefficient grids.
+    """
+    nx = max_n + 1
+    nt = max_n // 2 + 1
+
+    def grid() -> list[list[int]]:
+        return [[0] * nt for _ in range(nx)]
+
+    def poly(entries: dict[tuple[int, int], int]) -> list[list[int]]:
+        g = grid()
+        for (i, j), v in entries.items():
+            if i < nx and j < nt:
+                g[i][j] = v
+        return g
+
+    def mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+        out = grid()
+        for i in range(nx):
+            row = a[i]
+            for j in range(nt):
+                v = row[j]
+                if not v:
+                    continue
+                for i2 in range(nx - i):
+                    brow = b[i2]
+                    for j2 in range(nt - j):
+                        if brow[j2]:
+                            out[i + i2][j + j2] += v * brow[j2]
+        return out
+
+    def divide(num: list[list[int]], den: list[list[int]]) -> list[list[int]]:
+        assert den[0][0] == 1
+        out = grid()
+        for i in range(nx):
+            for j in range(nt):
+                acc = num[i][j]
+                for i2 in range(i + 1):
+                    for j2 in range(j + 1):
+                        if (i2, j2) != (0, 0) and den[i2][j2] and out[i - i2][j - j2]:
+                            acc -= den[i2][j2] * out[i - i2][j - j2]
+                out[i][j] = acc
+        return out
+
+    one_minus_tx2 = poly({(0, 0): 1, (2, 1): -1})
+    numerator = mul(mul(one_minus_tx2, one_minus_tx2), one_minus_tx2)
+    den1 = poly({(0, 0): 1, (1, 0): -1, (2, 1): -1})
+    den2 = poly({(0, 0): 1, (2, 1): -2})
+    denominator = mul(den1, mul(den2, den2))
+    series = divide(numerator, denominator)
+    return {
+        (n, k): series[n][k]
+        for n in range(max_n + 1)
+        for k in range(n // 2 + 1)
+    }
+
+
 def monomial_action_sequential(word, s):
     """(coefficient, shift) of the word's action on x^s, multiplying the
     down-step factors s + h_k - h_(i+1) one at a time, zeros included: the
@@ -140,6 +257,52 @@ def monomial_action_sequential(word, s):
         if after < before:
             coefficient *= s + h - after
     return coefficient, h
+
+
+def rook_numbers_brute(cells: Iterable[tuple[int, int]], max_k: int | None = None) -> list[int]:
+    """Rook numbers of an arbitrary board by enumerating all placements.
+
+    Test oracle for :func:`rook_numbers`; also handles boards that are not
+    staircase-shaped.  Limited to 20 cells.
+    """
+    cell_list = sorted(set(cells))
+    n = len(cell_list)
+    if n > _MAX_BRUTE_CELLS:
+        raise ResourceLimitError(
+            f"brute-force rook count limited to {_MAX_BRUTE_CELLS} cells, got {n}",
+            partial_count=n,
+        )
+    if max_k is None:
+        max_k = n
+    col_bit = {c: 1 << idx for idx, c in enumerate(sorted({c for c, _ in cell_list}))}
+    row_bit = {r: 1 << idx for idx, r in enumerate(sorted({r for _, r in cell_list}))}
+    counts = [0] * (max_k + 1)
+
+    def place(idx: int, cols_used: int, rows_used: int, k: int) -> None:
+        if idx == n:
+            counts[k] += 1
+            return
+        place(idx + 1, cols_used, rows_used, k)
+        col, row = cell_list[idx]
+        cb, rb = col_bit[col], row_bit[row]
+        if k < max_k and not (cols_used & cb) and not (rows_used & rb):
+            place(idx + 1, cols_used | cb, rows_used | rb, k + 1)
+
+    place(0, 0, 0, 0)
+    return counts
+
+def actions_agree(u: str, v: str) -> bool:
+    """True iff both words act identically on every monomial x^s.
+
+    It suffices to compare shifts and coefficients for s = 0 ... maxD + 1:
+    the coefficient is a polynomial in s of degree at most the number of
+    D's, so agreement on maxD + 2 points forces identity.
+    """
+    smax = max(u.count("D"), v.count("D")) + 1
+    for s in range(smax + 1):
+        if apply_to_monomial(u, s) != apply_to_monomial(v, s):
+            return False
+    return True
 
 
 def random_word(rng, length):

@@ -13,14 +13,11 @@ from math import comb
 
 from weylwords import (
     Move,
-    actions_agree,
     brute_force_class_counts,
     canonical_form,
     class_size,
     count_classes,
-    count_classes_by_recursion,
     count_classes_cdyck,
-    count_classes_cdyck_by_recursion,
     du_equivalent,
     du_normal_order,
     equivalent,
@@ -34,7 +31,6 @@ from weylwords import (
     normal_order,
     omega,
     rook_numbers,
-    rook_numbers_brute,
     signature,
     tensor_equivalent,
     total_classes,
@@ -42,7 +38,17 @@ from weylwords import (
     wet_probability,
 )
 
-from conftest import all_words, balanced_words, random_word, rank_counts_by_subspaces, words_up_to
+from conftest import (
+    actions_agree,
+    all_words,
+    balanced_words,
+    count_classes_by_recursion,
+    count_classes_cdyck_by_recursion,
+    random_word,
+    rank_counts_by_subspaces,
+    rook_numbers_brute,
+    words_up_to,
+)
 from test_enumeration import TABLE_CDYCK_1, TABLE_CDYCK_2, TABLE_CLASSES, TABLE_TOTALS
 
 

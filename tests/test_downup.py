@@ -73,6 +73,20 @@ class TestDuNormalOrder:
         with pytest.raises(DomainError):
             du_normal_order("DDU", (1, 0, 1), strategy="middle")
 
+    @pytest.mark.parametrize(
+        "params", [(1, 1), (1, 0, 1, 0), 1, None, "101", (1, "x", 1), (1, None, 1), ("1/0", 0, 1), (1, float("inf"), 1)]
+    )
+    def test_params_must_be_three_rationals(self, params):
+        with pytest.raises(DomainError, match="three rationals"):
+            du_normal_order("DU", params)
+        with pytest.raises(DomainError, match="three rationals"):
+            du_equivalent("DU", "UD", params)
+
+    def test_params_built_directly_are_coerced(self):
+        expected = du_normal_order("DDU", (Fraction(1, 2), 0, 1))
+        assert du_normal_order("DDU", DownUpParams(0.5, 0, 1)) == expected
+        assert du_normal_order("DDU", DownUpParams("1/2", 0, 1)) == expected
+
 
 class TestAgainstTheRecursiveReference:
     GRID = [

@@ -11,9 +11,7 @@ from weylwords import (
     ResourceLimitError,
     brute_force_class_counts,
     count_classes,
-    count_classes_by_recursion,
     count_classes_cdyck,
-    count_classes_cdyck_by_recursion,
     count_table,
     is_cdyck,
     total_classes,
@@ -24,6 +22,11 @@ from weylwords.enumeration import (
     _primes_up_to,
     _product,
     cdyck_class_counts_by_normal_form,
+)
+
+from conftest import (
+    count_classes_by_recursion,
+    count_classes_cdyck_by_recursion,
     generating_function_table,
 )
 
@@ -94,6 +97,8 @@ class TestCountClasses:
                 assert count_classes(n, k) == count_classes(n, n - k)
 
     def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            count_table(-1)
         with pytest.raises(DomainError):
             count_classes(3, 4)
         with pytest.raises(DomainError):

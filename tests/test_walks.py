@@ -195,6 +195,15 @@ class TestParseErrors:
             assert f"at position {position} " in str(excinfo.value)
             assert repr(word[position - 1]) in str(excinfo.value)
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize("pairs", [40, 60])
+    def test_words_that_are_not_str_fail_at_every_length(self, kind, pairs):
+        # 80 letters take the letter loop, 120 the packed blocks.
+        word = kind("UD" * pairs)
+        for call in (signature, class_size, lambda w: equivalent(w, w)):
+            with pytest.raises(ParseError, match=f"must be a str, got {kind.__name__}"):
+                call(word)
+
     def test_unequal_lengths_need_no_check(self):
         assert not equivalent("UX", "UDU")
         assert not tensor_equivalent([("DU", "UDX")])

@@ -11,7 +11,6 @@ from weylwords import (
     MonomialAction,
     ResourceLimitError,
     WeylElement,
-    actions_agree,
     apply_to_monomial,
     equivalent,
     ferrers_board,
@@ -21,15 +20,16 @@ from weylwords import (
     omega,
     rook_equivalent,
     rook_numbers,
-    rook_numbers_brute,
     tensor_equivalent,
 )
 
 from conftest import (
+    actions_agree,
     all_words,
     monomial_action_sequential,
     random_word,
     rank_counts_by_subspaces,
+    rook_numbers_brute,
     words_up_to,
 )
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weylwords import (
+    DomainError,
     LaurentPoly,
     ParseError,
     final_height,
@@ -109,7 +110,7 @@ class TestStandardPath:
             assert reading_word(standard_path(w)) == w
 
     def test_reading_word_rejects_bad_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             reading_word([(0, 0), (2, 0)])
 
 
