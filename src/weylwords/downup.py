@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
+from .words import _check_word, _SparseTerms
 
 # Words one normal ordering may rewrite; D^14 U^14 at (1,1,1) needs 516,021.
 MAX_REWRITES = 10**6
@@ -41,47 +42,24 @@ class DownUpParams(NamedTuple):
         return cls(Fraction(alpha), Fraction(beta), Fraction(gamma))
 
 
-class DownUpElement:
+class DownUpElement(_SparseTerms):
     """Finite rational combination of normal monomials U^a (DU)^b D^c.
 
     ``terms`` maps each normal word to a nonzero Fraction; equality is map
     equality.  Immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, terms: dict[str, Fraction]):
-        self._terms = {w: c for w, c in terms.items() if c}
+    def __init__(self, terms=()):
+        super().__init__(terms)
         for w in self._terms:
+            _check_word(w)
             if not is_normal_monomial(w):
                 raise DomainError(f"{w!r} is not a normal monomial")
-        self._hash: int | None = None
 
-    @property
-    def terms(self) -> dict[str, Fraction]:
-        return dict(self._terms)
-
-    def sorted_terms(self) -> list[tuple[str, Fraction]]:
-        return sorted(self._terms.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DownUpElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "DownUpElement(0)"
-        parts = (f"{c}*{w or '1'}" for w, c in self.sorted_terms())
-        return f"DownUpElement({' + '.join(parts)})"
+    def _show(self, w: str, c: Fraction) -> str:
+        return f"{c}*{w or '1'}"
 
 
 def is_normal_monomial(word: str) -> bool:
@@ -103,6 +81,7 @@ def _first_redex(word: str, strategy: str) -> int:
 
 
 def _normal_terms(word: str, params: DownUpParams, strategy: str) -> dict[str, Fraction]:
+    _check_word(word)
     params = [int(x) if x.denominator == 1 else x for x in params]  # ints compute faster
     m = sum(i for i, ch in enumerate(word) if ch == "U")
     pending = {m: {word: 1}}  # m -> {word with that m: coefficient}

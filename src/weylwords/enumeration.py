@@ -17,7 +17,7 @@ from math import comb, isqrt, lgamma, log
 
 from .equivalence import EquivSignature, _ne_walk, up_normal_from_signature
 from .errors import DomainError, ResourceLimitError
-from .words import LaurentPoly
+from .words import LaurentPoly, _check_word
 
 _MAX_BRUTE_LENGTH = 20
 
@@ -194,8 +194,10 @@ def is_cdyck(word: str, c) -> bool:
     for ch in word:
         if ch == "U":
             ups += 1
-        else:
+        elif ch == "D":
             downs += 1
+        else:
+            _check_word(word)
         if ups * c.denominator < downs * c.numerator:
             return False
     return True

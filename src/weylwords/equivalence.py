@@ -25,8 +25,8 @@ take the plain letter loop ``_letter_walk`` instead.
 Every walk raises :class:`~weylwords.errors.ParseError`, naming the 1-based
 position of the first letter other than ``D`` or ``U``, at every length,
 and on every word that is not a ``str``; so do the public functions built
-on it (:func:`signature`, :func:`equivalent` on words of equal length,
-:func:`canonical_form`, class sizes).  Case is not folded: that is
+on it (:func:`signature`, :func:`equivalent`, :func:`canonical_form`,
+class sizes).  Case is not folded: that is
 :func:`~weylwords.words.parse_word`'s job.
 """
 
@@ -162,9 +162,14 @@ def signature(word: str) -> EquivSignature:
 def equivalent(u: str, v: str) -> bool:
     """True iff ``u`` and ``v`` are equal as operators: their invariant walks agree.
 
-    Equivalent words have equal length, so other pairs need no walk.  Linear time.
+    Equivalent words have equal length, so other pairs need no walk, only
+    the check of their letters.  Linear time.
     """
-    return len(u) == len(v) and _ne_walk(u) == _ne_walk(v)
+    if len(u) != len(v):
+        _check_word(u)
+        _check_word(v)
+        return False
+    return _ne_walk(u) == _ne_walk(v)
 
 
 def is_up_normal(word: str) -> bool:

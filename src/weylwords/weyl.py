@@ -13,15 +13,16 @@ invariant walk, so it checks the signature independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import _product
 from .equivalence import equivalent
 from .errors import DomainError
-from .words import prefix_heights
+from .words import LaurentPoly, _check_word, _SparseTerms, prefix_heights
 
 
-class WeylElement:
+class WeylElement(_SparseTerms):
     """A finite integer combination of basis elements U^j D^i.
 
     ``terms`` maps (u_power, d_power) to a nonzero integer coefficient;
@@ -29,15 +30,10 @@ class WeylElement:
     the underlying operators.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, terms: dict[tuple[int, int], int]):
-        self._terms = {key: c for key, c in terms.items() if c}
-        self._hash: int | None = None
-
-    @property
-    def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
+    def _show(self, key: tuple[int, int], c: int) -> str:
+        return f"{c}*U^{key[0]}*D^{key[1]}"
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms ordered by descending u_power, then descending d_power."""
@@ -52,38 +48,10 @@ class WeylElement:
         Returns the resulting combination as a map exponent -> coefficient
         (exponents may be negative; the action extends to x^-1 terms).
         """
-        out: dict[int, int] = {}
-        for (j, i), c in self._terms.items():
-            factor = 1
-            for t in range(i):
-                factor *= s - t
-            if factor:
-                exp = s - i + j
-                new = out.get(exp, 0) + c * factor
-                if new:
-                    out[exp] = new
-                elif exp in out:
-                    del out[exp]
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "WeylElement(0)"
-        parts = (f"{c}*U^{j}*D^{i}" for (j, i), c in self.sorted_terms())
-        return f"WeylElement({' + '.join(parts)})"
+        pairs = (
+            (s - i + j, c * prod(range(s - i + 1, s + 1))) for (j, i), c in self._terms.items()
+        )
+        return LaurentPoly(pairs).terms
 
 
 def normal_order(word: str) -> WeylElement:
@@ -92,6 +60,7 @@ def normal_order(word: str) -> WeylElement:
     Multiplies the letters left to right; appending U uses the single-letter
     exchange D^i U = U D^i + i D^{i-1} on every term.
     """
+    _check_word(word)
     terms: dict[tuple[int, int], int] = {(0, 0): 1}
     for ch in word:
         if ch == "D":
@@ -151,6 +120,7 @@ def ferrers_board(word: str) -> FerrersBoard:
     far; leading U's (height-0 columns) and trailing D's change nothing,
     so boards of Uw, w and wD coincide.
     """
+    _check_word(word)
     heights = []
     downs = 0
     for ch in word:

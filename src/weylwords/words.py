@@ -10,6 +10,8 @@ of its up-steps, and of its down-steps.
 The positional walk :func:`prefix_heights` feeds the path, the height
 polynomials, the monomial action and the move sets; it stays apart from
 the invariant walk of :mod:`~weylwords.equivalence` so the two cross-check.
+It checks its word first, so every route built on it raises
+:class:`~weylwords.errors.ParseError` on a letter other than D or U.
 
 All functions here are pure and all values immutable, so everything can be
 shared freely across threads.
@@ -18,6 +20,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError
@@ -88,6 +91,7 @@ def is_falling(word: str) -> bool:
 
 def prefix_heights(word: str) -> list[int]:
     """Heights of the standard path's vertices; entry i is the height after i letters."""
+    _check_word(word)
     heights = [0] * (len(word) + 1)
     h = 0
     for i, ch in enumerate(word):
@@ -115,7 +119,63 @@ def reading_word(path: Iterable[tuple[int, int]]) -> str:
     return "".join(letters)
 
 
-class LaurentPoly:
+class _SparseTerms:
+    """An immutable map from basis keys to nonzero coefficients.
+
+    Zeros are never stored, so ``==`` on two instances of one type is
+    equality of the elements they write in the basis; instances of
+    different types never compare equal.  The constructor takes a mapping,
+    or an iterable of (key, coefficient) pairs whose repeated keys are
+    summed.  Subclasses name the basis: ``_show`` formats one term.
+    """
+
+    __slots__ = ("_terms", "_hash")
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
+        if isinstance(terms, Mapping):
+            merged = {key: c for key, c in terms.items() if c}
+        else:
+            merged = {}
+            for key, c in terms:
+                c = merged.get(key, 0) + c
+                if c:
+                    merged[key] = c
+                elif key in merged:
+                    del merged[key]
+        self._terms = merged
+        self._hash: int | None = None
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def sorted_terms(self) -> list:
+        """Terms in increasing key order."""
+        return sorted(self._terms.items())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __reduce__(self):
+        # Rebuilt from the terms: a cached hash of str keys is per process.
+        return type(self), (self._terms,)
+
+    def __repr__(self) -> str:
+        parts = " + ".join(self._show(key, c) for key, c in self.sorted_terms())
+        return f"{type(self).__name__}({parts or 0})"
+
+
+class LaurentPoly(_SparseTerms):
     """Sparse Laurent polynomial in z with integer coefficients.
 
     The coefficient map never stores zeros, so ``==`` on two instances is
@@ -124,94 +184,53 @@ class LaurentPoly:
     addition, scaling by z^k, comparison and evaluation.
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        merged: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for exp, c in items:
-            c = merged.get(exp, 0) + c
-            if c:
-                merged[exp] = c
-            elif exp in merged:
-                del merged[exp]
-        self._coeffs = merged
-        self._hash: int | None = None
+    def _show(self, exp: int, c: int) -> str:
+        return f"{c}*z^{exp}"
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
     def __getitem__(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
+        return self._terms.get(exponent, 0)
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        return iter(sorted(self._coeffs.items()))
+        return iter(self.sorted_terms())
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._terms
 
     def min_exponent(self) -> int:
-        if not self._coeffs:
+        if not self._terms:
             raise ValueError("the zero polynomial has no exponents")
-        return min(self._coeffs)
+        return min(self._terms)
 
     def max_exponent(self) -> int:
-        if not self._coeffs:
+        if not self._terms:
             raise ValueError("the zero polynomial has no exponents")
-        return max(self._coeffs)
+        return max(self._terms)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            c = merged.get(exp, 0) + c
-            if c:
-                merged[exp] = c
-            else:
-                del merged[exp]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = merged
-        out._hash = None
-        return out
+        return LaurentPoly(chain(self._terms.items(), other._terms.items()))
 
     def shifted(self, k: int) -> "LaurentPoly":
         """The product z^k * self."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {exp + k: c for exp, c in self._coeffs.items()}
-        out._hash = None
-        return out
+        return LaurentPoly({exp + k: c for exp, c in self._terms.items()})
 
     def evaluate(self, z=1):
         """Value at z (defaults to 1, giving the coefficient sum)."""
         if z == 1:
-            return sum(self._coeffs.values())
-        return sum(c * z**exp for exp, c in self._coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "LaurentPoly(0)"
-        parts = (f"{c}*z^{exp}" for exp, c in sorted(self._coeffs.items()))
-        return f"LaurentPoly({' + '.join(parts)})"
+            return sum(self._terms.values())
+        return sum(c * z**exp for exp, c in self._terms.items())
 
     def to_json_dict(self) -> dict[str, str]:
         """JSON form: exponent string -> decimal coefficient string."""
-        return {str(exp): str(c) for exp, c in sorted(self._coeffs.items())}
+        return {str(exp): str(c) for exp, c in self.sorted_terms()}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, str]) -> "LaurentPoly":

@@ -7,7 +7,9 @@ output format, and writes one JSON line per call: the argv, the exit code,
 stdout and the first line of stderr.  ``tests/test_cli_transcript.py``
 replays the file.  The script prints each argv whose record changed; log
 those, and why, whenever the transcript is regenerated.  A known defect
-stays in the transcript as recorded output until its fix lands.
+stays in the transcript as recorded output until its fix lands, but a
+record that breaks the exit-code contract (:func:`breaches`) is refused:
+the script names it and writes nothing.
 """
 
 from __future__ import annotations
@@ -99,6 +101,21 @@ ARGVS = [
 ]
 
 
+# The only commands whose exit 1 means DIFFERENT; anywhere else it is a bug.
+VERDICTS = {"check", "rookcheck", "tensor", "downup-check"}
+
+
+def breaches(records: list[dict]) -> list[dict]:
+    """Records that exit 4 (an internal error), or exit 1 from a command
+    that gives no verdict."""
+    bad = []
+    for r in records:
+        command = next((a for a in r["argv"] if not a.startswith("-")), None)
+        if r["exit"] == 4 or (r["exit"] == 1 and command not in VERDICTS):
+            bad.append(r)
+    return bad
+
+
 def record(argv: list[str]) -> dict:
     from weylwords.cli import run
 
@@ -119,6 +136,11 @@ def main() -> None:
     for r in records:
         if old.get(json.dumps(r["argv"])) != r:
             print("changed:", json.dumps(r["argv"])[:120])
+    bad = breaches(records)
+    for r in bad:
+        print(f"exit {r['exit']}:", json.dumps(r["argv"])[:120], r["stderr"][:120])
+    if bad:
+        sys.exit(f"refused: {len(bad)} records break the exit-code contract; nothing written")
     TRANSCRIPT.write_text("".join(json.dumps(r) + "\n" for r in records))
     print(f"wrote {len(records)} records to {TRANSCRIPT.name}")
 

@@ -17,16 +17,27 @@ import sys
 import pytest
 
 from weylwords import (
+    DownUpElement,
     EquivSignature,
     LaurentPoly,
     ParseError,
     apply_to_monomial,
     canonical_form,
     class_size,
+    du_equivalent,
+    du_normal_order,
     equivalence,
     equivalent,
+    ferrers_board,
     height_polys,
+    irreducible_factorization,
+    is_cdyck,
+    navon_expand,
+    normal_order,
+    prefix_heights,
+    rook_equivalent,
     signature,
+    standard_path,
     tensor_equivalent,
 )
 from weylwords.enumeration import brute_force_class_counts, cdyck_class_counts_by_normal_form
@@ -204,9 +215,55 @@ class TestParseErrors:
             with pytest.raises(ParseError, match=f"must be a str, got {kind.__name__}"):
                 call(word)
 
-    def test_unequal_lengths_need_no_check(self):
-        assert not equivalent("UX", "UDU")
-        assert not tensor_equivalent([("DU", "UDX")])
+    def test_unequal_lengths_are_checked(self):
+        # No walk is needed to tell them apart, but the letters are read.
+        for call, position in [
+            (lambda: equivalent("UX", "UDU"), 2),
+            (lambda: equivalent("UDU", "UX"), 2),
+            (lambda: tensor_equivalent([("DU", "UDX")]), 3),
+        ]:
+            with pytest.raises(ParseError) as excinfo:
+                call()
+            assert excinfo.value.position == position
+        assert not equivalent("UD", "UDU") and not tensor_equivalent([("DU", "UDD")])
+
+    @pytest.mark.parametrize(
+        "call, position",
+        [
+            (lambda: normal_order("DUX"), 3),
+            (lambda: navon_expand("DUX"), 3),
+            (lambda: du_normal_order("DUX", (1, 1, 1)), 3),
+            (lambda: du_equivalent("DUU", "DUX", (1, 1, 1)), 3),
+            (lambda: DownUpElement({"XYZ": 1}), 1),
+            (lambda: prefix_heights("UX"), 2),
+            (lambda: standard_path("UX"), 2),
+            (lambda: height_polys("UX"), 2),
+            (lambda: apply_to_monomial("DUX", 1), 3),
+            (lambda: irreducible_factorization("UDXU"), 3),
+            (lambda: ferrers_board("DXU"), 2),
+            (lambda: rook_equivalent("DUX", "DUU"), 3),
+            (lambda: is_cdyck("UX", 1), 2),
+        ],
+        ids=[
+            "normal_order",
+            "navon_expand",
+            "du_normal_order",
+            "du_equivalent",
+            "DownUpElement",
+            "prefix_heights",
+            "standard_path",
+            "height_polys",
+            "apply_to_monomial",
+            "irreducible_factorization",
+            "ferrers_board",
+            "rook_equivalent",
+            "is_cdyck",
+        ],
+    )
+    def test_other_routes_name_the_stray_letter(self, call, position):
+        with pytest.raises(ParseError) as excinfo:
+            call()
+        assert excinfo.value.position == position
 
 
 class TestCrossingIdentity:
