@@ -256,9 +256,8 @@ def _cmd_count(ns):
 
 def _cmd_table(ns):
     max_n = ns.max_n
-    if max_n < 0:
-        raise DomainError(f"table size must be nonnegative, got {max_n}")
-    classes = [[enumeration.count_classes(n, k) for k in range(n + 1)] for n in range(max_n + 1)]
+    counts = enumeration.count_table(max_n)
+    classes = [[counts[n, k] for k in range(n + 1)] for n in range(max_n + 1)]
     totals = [enumeration.total_classes(n) for n in range(max_n + 1)]
     cdyck = {
         str(c): [

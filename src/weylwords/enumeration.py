@@ -187,8 +187,11 @@ def is_cdyck(word: str, c) -> bool:
     """True iff every prefix has at least c times as many U's as D's.
 
     ``c`` may be an integer or a Fraction (rational thresholds are allowed
-    here even though the closed-form counts need integer c).
+    here even though the closed-form counts need integer c).  A word that
+    is not a ``str`` raises :class:`~weylwords.errors.ParseError`.
     """
+    if not isinstance(word, str):
+        _check_word(word)
     c = Fraction(c)
     ups = downs = 0
     for ch in word:

@@ -10,7 +10,7 @@ The height polynomials and the monomial action walk
 :func:`~weylwords.words.prefix_heights` instead, so that they check the
 invariant independently.  Every class of rising words has a unique member
 without a U D^k U factor (k >= 2); :func:`canonical_form` extends this to
-all words by the reversal involution.
+all words by the reversal involution, from one walk of the word.
 
 The walk reads eight letters per step (the "Four Russians" table idea of
 Arlazarov, Dinic, Kronrod and Faradzev).  The word is packed at C speed
@@ -175,15 +175,14 @@ def equivalent(u: str, v: str) -> bool:
 def is_up_normal(word: str) -> bool:
     """True iff the rising word contains no factor U D^k U with k >= 2.
 
-    Raises :class:`~weylwords.errors.DomainError` on non-rising input.
+    Raises :class:`~weylwords.errors.ParseError` at a letter other than D
+    or U, and :class:`~weylwords.errors.DomainError` on non-rising input.
     """
+    _check_word(word)
     if not is_rising(word):
         raise DomainError(f"word {word!r} is not rising (#U < #D)")
-    first = word.find("U")
-    if first == -1:
-        return True
-    last = word.rfind("U")
-    return "DD" not in word[first:last]
+    # Between the first and the last U; with no U the range (-1, -1) is empty.
+    return word.find("DD", word.find("U"), word.rfind("U")) == -1
 
 
 def up_normal_from_signature(sig: EquivSignature) -> str:
@@ -210,20 +209,12 @@ def up_normal_from_signature(sig: EquivSignature) -> str:
 def up_normal_form(word: str) -> str:
     """The unique up-normal word equivalent to the given rising word.
 
-    Raises :class:`~weylwords.errors.DomainError` on non-rising input.
-    The reconstruction is validated against :func:`is_up_normal` and
-    :func:`signature` and fails loudly if either check does not hold.
+    Raises :class:`~weylwords.errors.DomainError` on non-rising input;
+    otherwise it is :func:`canonical_form`, one walk of the word.
     """
     if not is_rising(word):
         raise DomainError(f"word {word!r} is not rising (#U < #D)")
-    sig = signature(word)
-    normal = up_normal_from_signature(sig)
-    if not is_up_normal(normal) or signature(normal) != sig:
-        raise AssertionError(
-            f"internal error: reconstructed {normal!r} is not the up-normal"
-            f" form of {word!r}"
-        )
-    return normal
+    return canonical_form(word)
 
 
 def canonical_form(word: str) -> str:
@@ -231,9 +222,16 @@ def canonical_form(word: str) -> str:
 
     Rising words map to their up-normal form; falling words go through
     the reversal involution.  Two words are equivalent iff their
-    canonical forms are identical strings.
+    canonical forms are identical strings.  One walk reads the word; the
+    result's up-normality, length and U count are checked.
     """
-    if is_rising(word):
-        return up_normal_form(word)
-    _check_word(word)  # before omega reverses the positions
-    return omega(up_normal_form(omega(word)))
+    e, a = _ne_walk(word)
+    falling = e < 0
+    if falling:  # omega(w) ends at -e, and a'_(g-1-e) = b_g as h'_i = h_(n-i) - e
+        e, a = -e, {g - 1 - e: c for g, c in _down_heights(e, a).items()}
+    normal = up_normal_from_signature(EquivSignature(e, LaurentPoly(a)))
+    canonical = omega(normal) if falling else normal
+    ups = word.count("U")
+    if not is_up_normal(normal) or len(canonical) != len(word) or canonical.count("U") != ups:
+        raise AssertionError(f"internal error: {canonical!r} is not the canonical form of {word!r}")
+    return canonical

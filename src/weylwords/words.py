@@ -205,12 +205,12 @@ class LaurentPoly(_SparseTerms):
 
     def min_exponent(self) -> int:
         if not self._terms:
-            raise ValueError("the zero polynomial has no exponents")
+            raise DomainError("the zero polynomial has no exponents")
         return min(self._terms)
 
     def max_exponent(self) -> int:
         if not self._terms:
-            raise ValueError("the zero polynomial has no exponents")
+            raise DomainError("the zero polynomial has no exponents")
         return max(self._terms)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

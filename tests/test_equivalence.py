@@ -2,6 +2,7 @@
 
 import random
 from collections import defaultdict
+from itertools import chain
 
 import pytest
 
@@ -11,6 +12,7 @@ from weylwords import (
     LaurentPoly,
     Move,
     canonical_form,
+    equivalence,
     equivalence_class,
     equivalent,
     final_height,
@@ -21,15 +23,34 @@ from weylwords import (
     signature,
     up_normal_form,
 )
+from weylwords.equivalence import _BLOCK_CUTOFF
 
 from conftest import (
     all_words,
     balanced_words,
+    bridges_word,
+    drift_word,
     ne_walk_by_position,
+    peaks_word,
     random_balanced_commutation,
     random_word,
     words_up_to,
 )
+
+
+def _long_shapes():
+    # Falling and rising drifts, bridges and peaks, above the block cutoff,
+    # cut to every length residue mod 8.
+    rng = random.Random(46)
+    for n in (200, 20_000):
+        for r in range(8):
+            for w in (
+                drift_word(rng, n, 0.45),
+                drift_word(rng, n, 0.55),
+                bridges_word(rng, n, block=n // 10),
+                peaks_word(rng, n),
+            ):
+                yield w[: len(w) - (len(w) - r) % 8]
 
 
 def _positional(w):
@@ -240,6 +261,40 @@ class TestCanonicalForm:
     def test_idempotent(self):
         for w in words_up_to(9):
             assert canonical_form(canonical_form(w)) == canonical_form(w)
+
+    def test_one_walk_of_the_input(self, monkeypatch):
+        walked, reversed_ = [], []
+        walk, reverse = equivalence._ne_walk, equivalence.omega
+
+        def counting_walk(word):
+            walked.append(word)
+            return walk(word)
+
+        def recording_omega(word):
+            reversed_.append(reverse(word))
+            return reversed_[-1]
+
+        monkeypatch.setattr(equivalence, "_ne_walk", counting_walk)
+        monkeypatch.setattr(equivalence, "omega", recording_omega)
+        # Rising, balanced and falling, below and above the block cutoff.
+        for n in (11, _BLOCK_CUTOFF + 37):
+            for w in (("UUD" * n)[:n], ("UDDU" * n)[: n - n % 4], ("DDU" * n)[:n]):
+                walked.clear()
+                reversed_.clear()
+                c = canonical_form(w)
+                assert walked == [w]
+                # A falling word's result is the one string omega produced.
+                assert reversed_ == ([c] if final_height(w) < 0 else [])
+                if final_height(w) >= 0:
+                    walked.clear()
+                    assert up_normal_form(w) == c and walked == [w]
+
+    def test_result_has_the_signature_and_is_up_normal(self):
+        # canonical_form does not walk its result at run time; this walks it.
+        for w in chain(words_up_to(14), _long_shapes()):
+            c = canonical_form(w)
+            assert signature(c) == signature(w)
+            assert is_up_normal(c if final_height(w) >= 0 else omega(c))
 
 
 class TestAlternativeInvariants:

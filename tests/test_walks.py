@@ -32,6 +32,7 @@ from weylwords import (
     height_polys,
     irreducible_factorization,
     is_cdyck,
+    is_up_normal,
     navon_expand,
     normal_order,
     prefix_heights,
@@ -264,6 +265,20 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             call()
         assert excinfo.value.position == position
+
+
+class TestEntryChecks:
+    def test_is_up_normal_names_the_first_bad_letter(self):
+        for word, position in _bad_words():
+            with pytest.raises(ParseError) as excinfo:
+                is_up_normal(word)
+            assert excinfo.value.position == position, word
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_is_cdyck_rejects_a_word_that_is_not_str(self, kind):
+        for pairs in (1, 60):
+            with pytest.raises(ParseError, match=f"must be a str, got {kind.__name__}"):
+                is_cdyck(kind("UD" * pairs), 1)
 
 
 class TestCrossingIdentity:

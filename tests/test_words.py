@@ -131,6 +131,13 @@ class TestLaurentPoly:
         assert p.evaluate() == 6
         assert p.evaluate(Fraction(2)) == Fraction(41, 2)
 
+    def test_zero_has_no_exponents(self):
+        zero, p = LaurentPoly.zero(), LaurentPoly({-2: 1, 3: 4})
+        for exponent in (zero.min_exponent, zero.max_exponent):
+            with pytest.raises(DomainError, match="zero polynomial has no exponents"):
+                exponent()
+        assert (p.min_exponent(), p.max_exponent()) == (-2, 3)
+
     def test_json_round_trip(self):
         p = LaurentPoly({-2: 10**30, 5: -7})
         data = p.to_json_dict()
