@@ -3,14 +3,15 @@
 Two words are equivalent exactly when they share the final height e and
 the up-step heights a_g, the complete invariant (:func:`signature`).  The
 private ``_ne_walk`` is the one walk that reads (e, a), for every layer
-that needs no letter positions: the verdict :func:`equivalent`,
-signatures, canonical forms, class sizes and the count oracles.  The
-down-step heights follow by the crossing identity (``_down_heights``).
-The height polynomials and the monomial action walk
-:func:`~weylwords.words.prefix_heights` instead, so that they check the
-invariant independently.  Every class of rising words has a unique member
-without a U D^k U factor (k >= 2); :func:`canonical_form` extends this to
-all words by the reversal involution, from one walk of the word.
+that needs no letter positions: the verdict :func:`equivalent`, the rook
+verdict :func:`~weylwords.weyl.rook_equivalent`, signatures, canonical
+forms, class sizes and the count oracles.  The down-step heights follow
+by the crossing identity (``_down_heights``).  The height polynomials and
+the monomial action walk the letters themselves instead, so that they
+check the invariant independently.  Every class of rising words has a
+unique member without a U D^k U factor (k >= 2); :func:`canonical_form`
+extends this to all words by the reversal involution, from one walk of
+the word.
 
 The walk reads eight letters per step (the "Four Russians" table idea of
 Arlazarov, Dinic, Kronrod and Faradzev).  The word is packed at C speed

@@ -4,22 +4,29 @@ Every word maps to an operator generated by D and U with DU - UD = 1; this
 module expands that operator in the basis U^j D^i two independent ways
 (letter-by-letter reordering and the rook-number expansion over the word's
 staircase board), evaluates its action on monomials x^s in closed form, and
-counts fixed-support matrices over prime fields by rank.  These are
-the cross-checking oracles for the combinatorial equivalence criteria.
-The monomial action walks :func:`~weylwords.words.prefix_heights`, not the
-invariant walk, so it checks the signature independently.
+counts fixed-support matrices over prime fields by rank.  These cross-check
+the combinatorial equivalence criteria.  The rook verdict
+:func:`rook_equivalent` is a fast path: by the Goldman-Joichi-White
+factorization it decides from the invariant walk, in linear time, with no
+rook number computed.  The column DP :func:`rook_numbers` remains the route of
+:func:`navon_expand` (and of the CLI's ``rook`` and ``expand``), and the
+tests use it as the verdict's oracle.  The monomial action walks the
+letters itself, not the invariant walk, so it checks the signature
+independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import prod
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import _product
-from .equivalence import equivalent
+from .equivalence import _ne_walk, equivalent
 from .errors import DomainError
-from .words import LaurentPoly, _check_word, _SparseTerms, prefix_heights
+from .words import LaurentPoly, _check_word, _SparseTerms
 
 
 class WeylElement(_SparseTerms):
@@ -58,23 +65,20 @@ def normal_order(word: str) -> WeylElement:
     """Expand the word's operator in the basis U^j D^i by direct reordering.
 
     Multiplies the letters left to right; appending U uses the single-letter
-    exchange D^i U = U D^i + i D^{i-1} on every term.
+    exchange D^i U = U D^i + i D^{i-1} on every term.  Every term U^j D^i
+    of a prefix has j - i equal to the prefix's height t, so the terms are
+    one list c, with c[i] the coefficient of U^(t+i) D^i: appending D
+    prepends a zero, and appending U maps c[i] to c[i] + (i+1) c[i+1].
     """
     _check_word(word)
-    terms: dict[tuple[int, int], int] = {(0, 0): 1}
+    c = [1]
     for ch in word:
         if ch == "D":
-            terms = {(j, i + 1): c for (j, i), c in terms.items()}
+            c.insert(0, 0)
         else:
-            new: dict[tuple[int, int], int] = {}
-            for (j, i), c in terms.items():
-                key = (j + 1, i)
-                new[key] = new.get(key, 0) + c
-                if i:
-                    key = (j, i - 1)
-                    new[key] = new.get(key, 0) + c * i
-            terms = new
-    return WeylElement(terms)
+            c = [x + i * y for i, x, y in zip(count(1), c, c[1:])] + [c[-1]]
+    t = 2 * word.count("U") - len(word)
+    return WeylElement({(t + i, i): x for i, x in enumerate(c)})
 
 
 @dataclass(frozen=True)
@@ -131,32 +135,53 @@ def ferrers_board(word: str) -> FerrersBoard:
     return FerrersBoard(heights)
 
 
+def _as_int(n, name: str) -> int:
+    """``n`` as an int, through ``operator.index``; else :class:`DomainError`."""
+    try:
+        return index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {type(n).__name__}") from None
+
+
 def rook_numbers(board: FerrersBoard, max_k: int) -> list[int]:
     """Rook numbers [r_0, ..., r_max_k] of a staircase board.
 
     Column DP: processing columns left to right, a column of height h adds
     h - (rooks placed so far) choices, since every earlier rook sits in one
-    of the column's rows (heights are weakly increasing).
+    of the column's rows (heights are weakly increasing).  The j-th column
+    updates only k <= min(h, j, max_k); every higher entry is zero.
     """
+    max_k = _as_int(max_k, "max_k")
     if max_k < 0:
         raise DomainError("max_k must be nonnegative")
     r = [1] + [0] * max_k
-    for h in board.col_heights:
-        for k in range(max_k, 0, -1):
-            free = h - (k - 1)
-            if free > 0:
-                r[k] += r[k - 1] * free
+    for j, h in enumerate(board.col_heights, start=1):
+        for k in range(min(h, j, max_k), 0, -1):
+            r[k] += r[k - 1] * (h - k + 1)
     return r
 
 
 def rook_equivalent(u: str, v: str) -> bool:
     """True iff the boards of ``u`` and ``v`` have identical rook numbers.
 
-    Compared up to the largest letter count of either word; all higher rook
-    numbers vanish on both boards.
+    Decided in linear time by the Goldman-Joichi-White factorization
+    ("Rook theory I", Proc. AMS 52, 1975): a board with m columns of
+    heights h_1 <= ... <= h_m (zeros allowed) has
+    sum_k r_k (x)_(m-k) = prod_i (x + h_i - i + 1), so two boards with the
+    same m are rook-equivalent iff the multisets {h_i - i + 1} agree.  For
+    a word, h_i - i + 1 is minus the height at which its i-th U starts,
+    which the invariant walk counts.  The word with fewer U's is padded
+    with p leading U's (zero-height columns, so its board is unchanged):
+    they start at heights 0..p-1, and shift every other up-step by p.
     """
-    kmax = max(u.count("D"), u.count("U"), v.count("D"), v.count("U"), 0)
-    return rook_numbers(ferrers_board(u), kmax) == rook_numbers(ferrers_board(v), kmax)
+    (eu, au), (ev, av) = _ne_walk(u), _ne_walk(v)
+    p = (len(v) + ev - len(u) - eu) // 2  # U's of v minus U's of u
+    if p < 0:
+        p, au, av = -p, av, au
+    padded = {g + p: c for g, c in au.items()}
+    for g in range(p):
+        padded[g] = padded.get(g, 0) + 1
+    return padded == av
 
 
 def navon_expand(word: str) -> WeylElement:
@@ -184,18 +209,24 @@ def apply_to_monomial(word: str, s: int) -> MonomialAction:
 
     Reading the word as a path with heights h_0 = 0, ..., h_k, the result
     is the product of (s + h_k - h_{i+1}) over all down-steps p_i, times
-    x^(s + h_k).  Matches direct differentiation/multiplication.  The
-    factors are multiplied in order into leaves of a few hundred bits,
+    x^(s + h_k).  Matches direct differentiation/multiplication.  h_k
+    comes from the U count, and one pass over the letters gives the
+    factors.  They are multiplied in order into leaves of a few hundred bits,
     and the leaves by a balanced product tree: one running product would
     cost time quadratic in the result's size.
     """
-    heights = prefix_heights(word)
-    h = heights[-1]
+    _check_word(word)
+    s = _as_int(s, "s")
+    h = 2 * word.count("U") - len(word)
     leaves = []
     leaf = 1
-    for before, after in zip(heights, heights[1:]):
-        if after < before:
-            leaf *= s + h - after
+    f = s + h  # s + h_k minus the height reached so far
+    for ch in word:
+        if ch == "U":
+            f -= 1
+        else:
+            f += 1
+            leaf *= f
             if not leaf:
                 break
             if leaf >> 256:

@@ -7,10 +7,11 @@ lattice, its *standard path*: starting from (0, 0), each ``U`` is a step
 in one variable z record the multiset of heights of the path's vertices,
 of its up-steps, and of its down-steps.
 
-The positional walk :func:`prefix_heights` feeds the path, the height
-polynomials, the monomial action and the move sets; it stays apart from
-the invariant walk of :mod:`~weylwords.equivalence` so the two cross-check.
-It checks its word first, so every route built on it raises
+The positional walk reads the heights in letter order: :func:`prefix_heights`
+lists them for the path and the move sets, and :func:`height_polys` and the
+monomial action make the same walk over the letters without a list.  It
+stays apart from the invariant walk of :mod:`~weylwords.equivalence` so the
+two cross-check.  Each of these checks its word first, so it raises
 :class:`~weylwords.errors.ParseError` on a letter other than D or U.
 
 All functions here are pure and all values immutable, so everything can be
@@ -46,7 +47,8 @@ def _check_word(word: str, text: str | None = None) -> None:
     letter, to name the first bad one and its 1-based position.  The
     message quotes ``text``'s character there (default ``word``'s), so a
     caller that folded case can show what the user typed.  A word that is
-    not a ``str`` fails too, even when its items are all D/U letters.
+    not a ``str`` fails too, even when its items are all D/U letters, and
+    so does one that is not iterable at all.
     """
     try:
         if not word.encode("ascii").translate(None, b"DU"):
@@ -54,7 +56,11 @@ def _check_word(word: str, text: str | None = None) -> None:
     except (UnicodeEncodeError, AttributeError):  # non-ASCII, or not a str
         pass
     shown = word if text is None else text
-    for pos, ch in enumerate(word):
+    try:
+        letters = enumerate(word)
+    except TypeError:  # not even iterable, such as None or an int
+        letters = ()
+    for pos, ch in letters:
         if ch != "D" and ch != "U":
             raise ParseError(
                 f"invalid character {shown[pos]!r} at position {pos + 1}"
@@ -244,7 +250,16 @@ def height_polys(word: str) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     vertices of up-steps, H_SE the starting vertices of down-steps.  The
     empty word gives (1, 0, 0): a single vertex at height 0.
     """
-    heights = prefix_heights(word)
-    ne = Counter(h for h, ch in zip(heights, word) if ch == "U")
-    se = Counter(h for h, ch in zip(heights, word) if ch != "U")
-    return LaurentPoly(Counter(heights)), LaurentPoly(ne), LaurentPoly(se)
+    _check_word(word)
+    ne: Counter[int] = Counter()
+    se: Counter[int] = Counter()
+    h = 0
+    for ch in word:
+        if ch == "U":
+            ne[h] += 1
+            h += 1
+        else:
+            se[h] += 1
+            h -= 1
+    # Every vertex but the last starts a step.
+    return LaurentPoly(chain(ne.items(), se.items(), [(h, 1)])), LaurentPoly(ne), LaurentPoly(se)

@@ -6,8 +6,18 @@ from itertools import compress, product
 from math import comb
 from typing import Iterable
 
-from weylwords import DomainError, ParseError, ResourceLimitError, apply_to_monomial, prefix_heights
+from weylwords import (
+    DomainError,
+    ParseError,
+    ResourceLimitError,
+    WeylElement,
+    apply_to_monomial,
+    ferrers_board,
+    prefix_heights,
+    rook_numbers,
+)
 from weylwords.enumeration import _check_c
+from weylwords.words import _check_word
 
 _MAX_BRUTE_CELLS = 20
 
@@ -290,6 +300,55 @@ def rook_numbers_brute(cells: Iterable[tuple[int, int]], max_k: int | None = Non
 
     place(0, 0, 0, 0)
     return counts
+
+def rook_numbers_full_range(board, max_k: int) -> list[int]:
+    """``weyl.rook_numbers`` looping every column over k = max_k .. 1, the
+    zero updates included: the reference for its clamped loop."""
+    if max_k < 0:
+        raise DomainError("max_k must be nonnegative")
+    r = [1] + [0] * max_k
+    for h in board.col_heights:
+        for k in range(max_k, 0, -1):
+            free = h - (k - 1)
+            if free > 0:
+                r[k] += r[k - 1] * free
+    return r
+
+
+def rook_equivalent_by_dp(u: str, v: str) -> bool:
+    """True iff the boards of ``u`` and ``v`` have identical rook numbers.
+
+    Compared up to the largest letter count of either word; all higher rook
+    numbers vanish on both boards.  Two column DPs: the reference for
+    ``weyl.rook_equivalent``'s factorization.
+    """
+    kmax = max(u.count("D"), u.count("U"), v.count("D"), v.count("U"), 0)
+    return rook_numbers(ferrers_board(u), kmax) == rook_numbers(ferrers_board(v), kmax)
+
+
+def normal_order_by_dict(word: str) -> WeylElement:
+    """Expand the word's operator in the basis U^j D^i by direct reordering.
+
+    Multiplies the letters left to right; appending U uses the single-letter
+    exchange D^i U = U D^i + i D^{i-1} on every term, held in a dict keyed
+    by (j, i): the reference for ``weyl.normal_order``'s dense list.
+    """
+    _check_word(word)
+    terms: dict[tuple[int, int], int] = {(0, 0): 1}
+    for ch in word:
+        if ch == "D":
+            terms = {(j, i + 1): c for (j, i), c in terms.items()}
+        else:
+            new: dict[tuple[int, int], int] = {}
+            for (j, i), c in terms.items():
+                key = (j + 1, i)
+                new[key] = new.get(key, 0) + c
+                if i:
+                    key = (j, i - 1)
+                    new[key] = new.get(key, 0) + c * i
+            terms = new
+    return WeylElement(terms)
+
 
 def actions_agree(u: str, v: str) -> bool:
     """True iff both words act identically on every monomial x^s.

@@ -3,12 +3,12 @@
 ``_ne_walk`` reads a word's final height e and up-step heights a_g; the
 down-step heights then follow from the crossing identity
 b_(g+1) = a_g - [0 <= g < e] + [e <= g < 0] (``_down_heights``).
-``height_polys`` counts every height position by position from
-``prefix_heights``, so each comparison below checks one walk against the
-other.  ``equivalent`` compares two invariant walks, and the walk itself is
-checked against a plain dict walk: below the block cutoff, on both sides of
-it at every length residue mod 8, on long words of every shape, and entry
-by entry in its byte tables.
+``height_polys`` counts every height position by position in its own
+walk over the letters, so each comparison below checks one walk against
+the other.  ``equivalent`` compares two invariant walks, and the walk
+itself is checked against a plain dict walk: below the block cutoff, on
+both sides of it at every length residue mod 8, on long words of every
+shape, and entry by entry in its byte tables.
 """
 
 import random
@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from weylwords import (
+    DomainError,
     DownUpElement,
     EquivSignature,
     LaurentPoly,
@@ -37,6 +38,7 @@ from weylwords import (
     normal_order,
     prefix_heights,
     rook_equivalent,
+    rook_numbers,
     signature,
     standard_path,
     tensor_equivalent,
@@ -265,6 +267,45 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             call()
         assert excinfo.value.position == position
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rook_numbers(ferrers_board("DU"), 2.5),
+            lambda: rook_numbers(ferrers_board("DU"), "2"),
+            lambda: rook_numbers(ferrers_board("DU"), None),
+            lambda: apply_to_monomial("DU", 1.5),
+            lambda: apply_to_monomial("DU", "1"),
+        ],
+        ids=["rook_numbers_float", "rook_numbers_str", "rook_numbers_none", "apply_float", "apply_str"],
+    )
+    def test_integer_arguments_that_are_not_integers(self, call):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+    def test_a_bool_stays_an_int(self):
+        board = ferrers_board("DDUDU")
+        assert rook_numbers(board, True) == rook_numbers(board, 1) == [1, 5]
+        assert apply_to_monomial("DU", True) == apply_to_monomial("DU", 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rook_equivalent(None, "UD"),
+            lambda: rook_equivalent("UD", None),
+            lambda: rook_equivalent(12, "UD"),
+            lambda: signature(None),
+            lambda: class_size(123),
+            lambda: prefix_heights(None),
+        ],
+        ids=["rook_equivalent_left", "rook_equivalent_right", "rook_equivalent_int"]
+        + ["signature", "class_size", "prefix_heights"],
+    )
+    def test_words_that_are_not_iterable(self, call):
+        with pytest.raises(ParseError, match="must be a str, got (NoneType|int)"):
+            call()
 
 
 class TestEntryChecks:

@@ -2,6 +2,7 @@
 
 import random
 from collections import defaultdict
+from itertools import product
 
 import pytest
 
@@ -21,15 +22,20 @@ from weylwords import (
     rook_equivalent,
     rook_numbers,
     tensor_equivalent,
+    weyl,
 )
 
 from conftest import (
     actions_agree,
     all_words,
     monomial_action_sequential,
+    normal_order_by_dict,
+    random_balanced_commutation,
     random_word,
     rank_counts_by_subspaces,
+    rook_equivalent_by_dp,
     rook_numbers_brute,
+    rook_numbers_full_range,
     words_up_to,
 )
 
@@ -60,6 +66,19 @@ class TestNormalOrder:
             for i, u in enumerate(words):
                 for v in words[i:]:
                     assert (elements[u] == elements[v]) == equivalent(u, v)
+
+    def test_matches_the_dict_reordering_on_every_word_up_to_10_letters(self):
+        for w in words_up_to(10):
+            assert normal_order(w) == normal_order_by_dict(w)
+
+    def test_matches_the_dict_reordering_on_seeded_long_words(self):
+        # Drifts on both sides of 1/2, so prefixes run far below zero, where
+        # the low entries of the dense list are zero.
+        rng = random.Random(47)
+        for length in (200, 331, 500, 777, 1000):
+            for up in (0.3, 0.5, 0.7):
+                w = "".join(rng.choices("UD", weights=(up, 1 - up), k=length))
+                assert normal_order(w) == normal_order_by_dict(w)
 
 
 class TestFerrersBoard:
@@ -110,6 +129,17 @@ class TestRookNumbers:
             kmax = min(board.num_columns, board.num_rows, 4)
             assert rook_numbers(board, kmax) == rook_numbers_brute(board.cells(), kmax)
 
+    def test_every_max_k_matches_the_full_range_loop(self):
+        for w in words_up_to(9):
+            board = ferrers_board(w)
+            for max_k in range(board.num_columns + 4):
+                assert rook_numbers(board, max_k) == rook_numbers_full_range(board, max_k)
+
+    def test_max_k_beyond_the_board_is_clamped(self):
+        numbers = rook_numbers(ferrers_board("DU" * 3), 10**5)
+        assert len(numbers) == 10**5 + 1
+        assert numbers[:4] == [1, 6, 7, 1] and not any(numbers[4:])
+
     def test_brute_force_cell_guard(self):
         with pytest.raises(ResourceLimitError):
             rook_numbers_brute([(i, j) for i in range(5) for j in range(5)])
@@ -159,6 +189,52 @@ class TestRookEquivalence:
         assert rook_equivalent("DUUDU", "UDDUU")
         assert equivalent("DUUDU", "UDDUU")
         assert not equivalent("DUUDU", "DDUU")
+
+    def test_matches_the_dp_verdict_on_every_pair_up_to_7_letters(self):
+        words = list(words_up_to(7))
+        for u, v in product(words, repeat=2):
+            assert rook_equivalent(u, v) == rook_equivalent_by_dp(u, v), (u, v)
+
+    def test_matches_the_dp_verdict_on_seeded_long_pairs(self):
+        rng = random.Random(9)
+        verdicts = set()
+        for length in (50, 90, 140, 200, 270, 400):
+            u = random_word(rng, length)
+            i = u.find("UD", rng.randrange(length))
+            partners = [
+                random_balanced_commutation(rng, u),
+                u[:i] + "DU" + u[i + 2 :] if i >= 0 else u,  # a near miss
+                omega(u),
+                "U" * rng.randrange(1, 40) + u,
+                u + "D" * rng.randrange(1, 40),
+                "U" * rng.randrange(1, 40) + u[: length // 2] + "D" * rng.randrange(1, 40),
+                random_word(rng, rng.randrange(50, 400)),
+            ]
+            for v in partners:
+                verdict = rook_equivalent(u, v)
+                assert verdict == rook_equivalent(v, u) == rook_equivalent_by_dp(u, v), (u, v)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_one_walk_per_word_and_no_dp(self, monkeypatch):
+        walked = []
+        walk = weyl._ne_walk
+
+        def counting(word):
+            walked.append(word)
+            return walk(word)
+
+        def refuse(*args):
+            raise AssertionError("the verdict ran the rook-number DP")
+
+        monkeypatch.setattr(weyl, "_ne_walk", counting)
+        monkeypatch.setattr(weyl, "rook_numbers", refuse)
+        u, v = "DUUDU" * 40, "UUUU" + "DDUU" * 50
+        assert rook_equivalent(u, v) == rook_equivalent_by_dp(u, v)
+        assert walked == [u, v]
+        walked.clear()
+        assert rook_equivalent("DUUDU", "DDUU") and not rook_equivalent("DU", "UD")
+        assert walked == ["DUUDU", "DDUU", "DU", "UD"]
 
 
 class TestNavonExpansion:
