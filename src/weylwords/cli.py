@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import enumeration, percolation
 from .downup import DownUpParams, du_equivalent, du_normal_order
 from .equivalence import canonical_form, equivalent
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import DomainError, ParseError, ResourceLimitError, _budget_error
 from .rewrite import Move, class_size, equivalence_class
 from .weyl import ferrers_board, navon_expand, rook_equivalent, rook_numbers, tensor_equivalent
 from .words import parse_word
@@ -54,20 +54,26 @@ def _decimal(x) -> str:
 
     The budget is checked from the bit length before any conversion (an
     integer of b bits has more than (b - 1)·log10 2 digits; 0.301029995
-    rounds log10 2 down), and exactly after it.  Past ``_STR_BITS`` the integer is split into binary halves
-    that are recombined as ``Decimal`` values at full precision, with the
-    powers 2^w cached: quasi-linear where ``str`` is quadratic.
+    rounds log10 2 down), and exactly after it; a refusal reports that
+    lower bound, or the exact length once converted.  Past ``_STR_BITS``
+    the integer is split into binary halves that are recombined as
+    ``Decimal`` values at full precision, with the powers 2^w cached:
+    quasi-linear where ``str`` is quadratic.
     """
     if isinstance(x, Fraction):
         num = _decimal(x.numerator)
         return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
     bits = x.bit_length()
-    if (bits - 1) * 301029995 // 10**9 < MAX_OUTPUT_DIGITS:
+    digits = (bits - 1) * 301029995 // 10**9 + 1  # at least this many, for x != 0
+    if digits <= MAX_OUTPUT_DIGITS:
         text = str(abs(x)) if bits <= _STR_BITS else _big_decimal(abs(x), bits)
         if len(text) <= MAX_OUTPUT_DIGITS:
             return "-" + text if x < 0 else text
-    budget = f"MAX_OUTPUT_DIGITS = {MAX_OUTPUT_DIGITS} decimal digits"
-    raise ResourceLimitError(f"result exceeds the output budget ({budget})")
+        digits = len(text)
+    raise _budget_error(
+        "result", "output", "MAX_OUTPUT_DIGITS", MAX_OUTPUT_DIGITS, "decimal digits", digits,
+        "asked for at least",
+    )
 
 
 def _big_decimal(n: int, bits: int) -> str:

@@ -21,9 +21,9 @@ Nothing is kept between calls and nothing recurses.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _budget_error
 from .words import _check_word, _SparseTerms
 
 # Words one normal ordering may rewrite; D^14 U^14 at (1,1,1) needs 516,021.
@@ -38,8 +38,13 @@ class DownUpParams(NamedTuple):
     gamma: Fraction
 
     @classmethod
-    def of(cls, alpha, beta, gamma) -> "DownUpParams":
-        return cls(Fraction(alpha), Fraction(beta), Fraction(gamma))
+    def of(cls, *values) -> "DownUpParams":
+        """The three values as exact rationals; anything else is a DomainError."""
+        try:
+            return cls(*map(Fraction, values))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            message = f"params must be three rationals (alpha, beta, gamma), got {values!r}"
+            raise DomainError(message) from None
 
 
 class DownUpElement(_SparseTerms):
@@ -96,9 +101,9 @@ def _normal_terms(word: str, params: DownUpParams, strategy: str) -> dict[str, F
                 result[w] = Fraction(c)
                 continue
             if rewrites == MAX_REWRITES:
-                budget = f"MAX_REWRITES = {MAX_REWRITES} words rewritten"
-                raise ResourceLimitError(
-                    f"normal ordering exceeds the rewrite budget ({budget})", partial_count=rewrites
+                raise _budget_error(
+                    "normal ordering", "rewrite", "MAX_REWRITES", MAX_REWRITES, "words rewritten",
+                    rewrites,
                 )
             rewrites += 1
             head, redex, tail = w[:idx], w[idx : idx + 3], w[idx + 3 :]
@@ -120,12 +125,9 @@ def _coerce_params(params) -> DownUpParams:
     A DownUpParams is coerced too, since its constructor takes any values;
     a string is refused, though three of its characters would unpack.
     """
-    if not isinstance(params, str):
-        try:
-            return DownUpParams.of(*params)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise DomainError(f"params must be three rationals (alpha, beta, gamma), got {params!r}")
+    if isinstance(params, str) or not isinstance(params, Iterable):
+        params = (params,)  # one value, which ``of`` refuses
+    return DownUpParams.of(*params)
 
 
 def du_normal_order(word: str, params, strategy: str = "leftmost") -> DownUpElement:

@@ -16,10 +16,11 @@ from itertools import accumulate, compress, product
 from math import comb, isqrt, lgamma, log
 
 from .equivalence import EquivSignature, _ne_walk, up_normal_from_signature
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _as_int, _budget_error
 from .words import LaurentPoly, _check_word
 
-_MAX_BRUTE_LENGTH = 20
+# Longest word length the exhaustive 2^n oracles enumerate.
+MAX_BRUTE_LENGTH = 20
 
 
 def _choose(m: int, r: int) -> int:
@@ -110,6 +111,7 @@ def count_classes(n: int, k: int) -> int:
     Uses the symmetry a(n, k) = a(n, n-k) to reach k <= n/2, then the
     closed-form sum.
     """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 0 or k < 0 or k > n:
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
     if 2 * k > n:
@@ -130,6 +132,7 @@ def total_classes(n: int) -> int:
     Closed form 2 F_{n+4} minus a parity-dependent correction; n = 0
     returns 1 by convention.
     """
+    n = _as_int(n, "n")
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     if n == 0:
@@ -157,6 +160,7 @@ def count_classes_cdyck(n: int, k: int, c: int) -> int:
     row sum of binomials, for c = 2 just C(n-k-1, k).
     """
     _check_c(c)
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if k < 0 or n < (c + 1) * k:
         raise DomainError(f"need n >= (c+1)k >= 0, got n={n}, k={k}, c={c}")
     if n == 0:
@@ -169,6 +173,7 @@ def count_classes_cdyck(n: int, k: int, c: int) -> int:
 def total_classes_cdyck(n: int, c: int) -> int:
     """Row sum over k of a_c(n, k)."""
     _check_c(c)
+    n = _as_int(n, "n")
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     return sum(count_classes_cdyck(n, k, c) for k in range(n // (c + 1) + 1))
@@ -176,6 +181,7 @@ def total_classes_cdyck(n: int, c: int) -> int:
 
 def count_table(max_n: int) -> dict[tuple[int, int], int]:
     """All entries a(n, k) for n <= max_n as a map (n, k) -> count."""
+    max_n = _as_int(max_n, "max_n")
     if max_n < 0:
         raise DomainError(f"table size must be nonnegative, got {max_n}")
     return {
@@ -208,12 +214,14 @@ def is_cdyck(word: str, c) -> bool:
 
 def _signatures_by_k(n: int, keep=None) -> list[set]:
     """Distinct signatures (e, sorted up-step heights) of the length-n words
-    passing ``keep``, per number of D's k = (n - e) / 2.  Guarded at n <= 20."""
+    passing ``keep``, per number of D's k = (n - e) / 2, for n <= MAX_BRUTE_LENGTH."""
+    n = _as_int(n, "n")
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    if n > _MAX_BRUTE_LENGTH:
-        raise ResourceLimitError(
-            f"brute-force enumeration limited to length {_MAX_BRUTE_LENGTH}, got {n}"
+    if n > MAX_BRUTE_LENGTH:
+        raise _budget_error(
+            "brute-force enumeration", "length", "MAX_BRUTE_LENGTH", MAX_BRUTE_LENGTH, "letters", n,
+            "asked for",
         )
     per_k: list[set] = [set() for _ in range(n + 1)]
     for letters in product("DU", repeat=n):
@@ -229,7 +237,7 @@ def brute_force_class_counts(n: int, c=None) -> list[int]:
 
     Enumerates every word of length n (restricted to prefix-condition
     words when ``c`` is given), partitions by signature and returns the
-    number of distinct classes for each k = 0 ... n.  Guarded at n <= 20.
+    number of distinct classes for each k = 0 ... n, for n <= MAX_BRUTE_LENGTH.
     """
     threshold = None if c is None else Fraction(c)
     keep = None if threshold is None else (lambda word: is_cdyck(word, threshold))

@@ -166,7 +166,7 @@ def equivalent(u: str, v: str) -> bool:
     Equivalent words have equal length, so other pairs need no walk, only
     the check of their letters.  Linear time.
     """
-    if len(u) != len(v):
+    if not (isinstance(u, str) and isinstance(v, str) and len(u) == len(v)):
         _check_word(u)
         _check_word(v)
         return False
@@ -194,17 +194,25 @@ def up_normal_from_signature(sig: EquivSignature) -> str:
     exponent -a + i - 1, so a and the r_i can be read off directly; b then
     follows from the final height.
     """
-    ne = sig.ne_heights
-    if ne.is_zero():
-        if sig.final_height != 0:
-            raise DomainError(f"no word has signature {sig}")
+    return _up_normal(sig.final_height, sig.ne_heights._terms)
+
+
+def _up_normal(e: int, ne: dict[int, int]) -> str:
+    """:func:`up_normal_from_signature` from the final height and the
+    zero-free map of up-step heights, with no polynomial built.  The word
+    is one ``join`` over the D runs and one shared piece per distinct
+    count, so besides the result it holds one pointer per height."""
+    if not ne:
+        if e != 0:
+            raise DomainError(f"no word has signature {EquivSignature(e, LaurentPoly(ne))}")
         return ""
-    lo, hi = ne.min_exponent(), ne.max_exponent()
-    counts = [ne[g] for g in range(lo, hi + 1)]
-    a, b = -lo, hi + 1 - sig.final_height
+    lo, hi = min(ne), max(ne)
+    counts = [ne.get(g, 0) for g in range(lo, hi + 1)]
+    a, b = -lo, hi + 1 - e
     if a < 0 or b < 0 or any(c <= 0 for c in counts):
-        raise DomainError(f"no rising word has signature {sig}")
-    return "D" * a + "".join("UD" * (c - 1) + "U" for c in counts) + "D" * b
+        raise DomainError(f"no rising word has signature {EquivSignature(e, LaurentPoly(ne))}")
+    pieces = {c: "UD" * (c - 1) + "U" for c in set(counts)}
+    return "".join(["D" * a, *map(pieces.__getitem__, counts), "D" * b])
 
 
 def up_normal_form(word: str) -> str:
@@ -230,9 +238,12 @@ def canonical_form(word: str) -> str:
     falling = e < 0
     if falling:  # omega(w) ends at -e, and a'_(g-1-e) = b_g as h'_i = h_(n-i) - e
         e, a = -e, {g - 1 - e: c for g, c in _down_heights(e, a).items()}
-    normal = up_normal_from_signature(EquivSignature(e, LaurentPoly(a)))
+    normal = _up_normal(e, a)
     canonical = omega(normal) if falling else normal
     ups = word.count("U")
-    if not is_up_normal(normal) or len(canonical) != len(word) or canonical.count("U") != ups:
+    # is_up_normal's test without its letter check, which would hold two
+    # copies of the result: ``normal`` is made of D and U by construction.
+    valley = normal.find("DD", normal.find("U"), normal.rfind("U")) != -1
+    if valley or len(canonical) != len(word) or canonical.count("U") != ups:
         raise AssertionError(f"internal error: {canonical!r} is not the canonical form of {word!r}")
     return canonical

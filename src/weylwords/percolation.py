@@ -22,7 +22,7 @@ least t open bonds.
 
 from __future__ import annotations
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _as_int, _budget_error
 
 MAX_ORDER = 14
 
@@ -96,13 +96,15 @@ def _advance(states: dict[int, list[int]], t: int, wall: bool, order: int) -> di
     return merged
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int) -> int:
+    order = _as_int(order, "order")
     if order < 0:
         raise DomainError(f"need order >= 0, got {order}")
     if order > MAX_ORDER:
-        raise ResourceLimitError(
-            f"series order limited to {MAX_ORDER}, got {order}"
+        raise _budget_error(
+            "percolation series", "order", "MAX_ORDER", MAX_ORDER, "powers of p", order, "asked for"
         )
+    return order
 
 
 def column_states(t: int, order: int, wall: bool = False) -> dict[int, list[int]]:
@@ -112,7 +114,8 @@ def column_states(t: int, order: int, wall: bool = False) -> dict[int, list[int]
     values are dense coefficient lists of length order + 1.  Past column
     ``order`` only the all-dry mask survives, since column t costs t bonds.
     """
-    _check_order(order)
+    order = _check_order(order)
+    t = _as_int(t, "t")
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     if t > order:
@@ -129,6 +132,7 @@ def wet_probability(t: int, x: int, order: int, wall: bool = False) -> list[int]
     Unreachable sites (beyond the light cone, or behind the wall) give the
     zero polynomial; (t, x) must be a lattice site, i.e. t + x even.
     """
+    t, x = _as_int(t, "t"), _as_int(x, "x")
     if (t + x) % 2 != 0:
         raise DomainError(f"({t}, {x}) is not a lattice site (t + x must be even)")
     if t < 0:
@@ -150,7 +154,7 @@ def mean_size_series(order: int, wall: bool = False) -> list[int]:
     Sums C(t, x; p) over all sites in columns 0..order; farther columns
     only contribute above the truncation order.
     """
-    _check_order(order)
+    order = _check_order(order)
     total = [0] * (order + 1)
     states = {1: [1] + [0] * order}
     for t in range(order + 1):

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .enumeration import _binomial_product
 from .equivalence import _down_heights, _ne_walk, canonical_form
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, _as_int, _budget_error
 from .words import is_balanced, omega, prefix_heights
 
 
@@ -86,12 +86,18 @@ def equivalence_class(
 ) -> EquivClass:
     """Breadth-first closure of ``word`` under the move set.
 
-    Raises :class:`~weylwords.errors.ResourceLimitError` (carrying the
-    partial member count) instead of silently truncating when the closure
-    exceeds ``cap`` members.
+    Raises :class:`~weylwords.errors.ResourceLimitError` instead of
+    silently truncating when the class has more than ``cap`` members.  The
+    closed-form :func:`class_size` is checked before any closure, so the
+    error carries the exact size; the closure checks the cap again as it
+    grows, with the member count so far.
     """
+    cap = _as_int(cap, "cap")
     if cap < 1:
         raise DomainError("cap must be a positive integer")
+    size = class_size(word)
+    if size > cap:
+        raise _budget_error("equivalence class", "member", "cap", cap, "members", size, "asked for")
     seen = {word}
     frontier = [word]
     while frontier:
@@ -101,9 +107,8 @@ def equivalence_class(
                 if other not in seen:
                     seen.add(other)
                     if len(seen) > cap:
-                        raise ResourceLimitError(
-                            f"equivalence class of {word!r} exceeds cap {cap}",
-                            partial_count=len(seen),
+                        raise _budget_error(
+                            "equivalence class", "member", "cap", cap, "members", len(seen)
                         )
                     nxt.append(other)
         frontier = nxt

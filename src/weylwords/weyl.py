@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import prod
-from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import _product
 from .equivalence import _ne_walk, equivalent
-from .errors import DomainError
+from .errors import DomainError, _as_int
 from .words import LaurentPoly, _check_word, _SparseTerms
 
 
@@ -133,14 +132,6 @@ def ferrers_board(word: str) -> FerrersBoard:
         else:
             heights.append(downs)
     return FerrersBoard(heights)
-
-
-def _as_int(n, name: str) -> int:
-    """``n`` as an int, through ``operator.index``; else :class:`DomainError`."""
-    try:
-        return index(n)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {type(n).__name__}") from None
 
 
 def rook_numbers(board: FerrersBoard, max_k: int) -> list[int]:

@@ -33,9 +33,10 @@ def parse_word(text: str) -> str:
     """Canonicalize ``text`` to an uppercase D/U word.
 
     Lowercase input is accepted; any other character raises
-    :class:`~weylwords.errors.ParseError` naming its 1-based position.
+    :class:`~weylwords.errors.ParseError` naming its 1-based position, and
+    so does a ``text`` that is not a ``str``, naming its type.
     """
-    word = text.upper()
+    word = text.upper() if isinstance(text, str) else text
     _check_word(word, text)
     return word
 
@@ -43,40 +44,41 @@ def parse_word(text: str) -> str:
 def _check_word(word: str, text: str | None = None) -> None:
     """Raise :class:`~weylwords.errors.ParseError` unless ``word`` is a D/U word.
 
-    One pass at C speed decides; only a failing word is read letter by
-    letter, to name the first bad one and its 1-based position.  The
-    message quotes ``text``'s character there (default ``word``'s), so a
-    caller that folded case can show what the user typed.  A word that is
-    not a ``str`` fails too, even when its items are all D/U letters, and
-    so does one that is not iterable at all.
+    A word that is not a ``str`` fails before any of it is read, even
+    when its items are all D/U letters.  One pass at C speed decides; only
+    a failing word is read letter by letter, to name the first bad one and
+    its 1-based position.  The message quotes ``text``'s character there
+    (default ``word``'s), so a caller that folded case can show what the
+    user typed.
     """
+    if not isinstance(word, str):
+        raise ParseError(f"a word must be a str, got {type(word).__name__}")
     try:
         if not word.encode("ascii").translate(None, b"DU"):
             return
-    except (UnicodeEncodeError, AttributeError):  # non-ASCII, or not a str
+    except UnicodeEncodeError:  # a non-ASCII letter, found below
         pass
     shown = word if text is None else text
-    try:
-        letters = enumerate(word)
-    except TypeError:  # not even iterable, such as None or an int
-        letters = ()
-    for pos, ch in letters:
+    for pos, ch in enumerate(word):
         if ch != "D" and ch != "U":
             raise ParseError(
                 f"invalid character {shown[pos]!r} at position {pos + 1}"
                 " (expected D or U)",
                 position=pos + 1,
             )
-    raise ParseError(f"a word must be a str, got {type(word).__name__}")
 
 
 def omega(word: str) -> str:
     """Reverse the word and toggle every letter.  An involution."""
+    if not isinstance(word, str):
+        _check_word(word)
     return word[::-1].translate(_OMEGA)
 
 
 def final_height(word: str) -> int:
     """Number of U's minus number of D's; the height where the standard path ends."""
+    if not isinstance(word, str):
+        _check_word(word)
     return 2 * word.count("U") - len(word)
 
 

@@ -68,7 +68,10 @@ def ne_walk_by_position(word):
 
 def parse_word_by_loop(text):
     """``parse_word`` checking each character in a Python loop: the
-    reference for its C-speed check."""
+    reference for its C-speed check.  A text that is not a ``str`` is
+    refused before any of it is read."""
+    if not isinstance(text, str):
+        raise ParseError(f"a word must be a str, got {type(text).__name__}")
     word = text.upper()
     for pos, ch in enumerate(word):
         if ch != "D" and ch != "U":

@@ -282,7 +282,7 @@ class TestDownUp:
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_over_the_rewrite_budget_exits_3(self, monkeypatch, fmt):
         monkeypatch.setattr(downup, "MAX_REWRITES", 20)
-        budget = "(MAX_REWRITES = 20 words rewritten)"
+        budget = "(MAX_REWRITES = 20 words rewritten); reached 20"
         word = "D" * 6 + "U" * 6
         for argv in (["downup", word], ["downup-check", word, "U" * 6 + "D" * 6]):
             code, out, err = invoke([f"--format={fmt}", *argv, "--params=1,1,1"])
@@ -407,7 +407,8 @@ class TestLongDecimals:
         monkeypatch.setattr(cli, "MAX_OUTPUT_DIGITS", 5000)
         code, out, err = invoke([f"--format={fmt}", "count", "30000"])
         assert (code, out) == (3, "")
-        assert err == "resource limit: result exceeds the output budget (MAX_OUTPUT_DIGITS = 5000 decimal digits)\n"
+        budget = "(MAX_OUTPUT_DIGITS = 5000 decimal digits); asked for at least 6271"
+        assert err == f"resource limit: result exceeds the output budget {budget}\n"
         code, out, _ = invoke([f"--format={fmt}", "count", "20572"])
         assert code == 0
 
@@ -458,8 +459,8 @@ class TestOutputBudget:
         monkeypatch.setattr(cli, "MAX_OUTPUT_DIGITS", 4300)
         code, out, err = invoke([f"--format={fmt}", "count", "20572"])
         assert (code, out) == (3, "")
-        budget = "MAX_OUTPUT_DIGITS = 4300 decimal digits"
-        assert err == f"resource limit: result exceeds the output budget ({budget})\n"
+        budget = "(MAX_OUTPUT_DIGITS = 4300 decimal digits); asked for at least 4301"
+        assert err == f"resource limit: result exceeds the output budget {budget}\n"
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_refused_from_the_bit_length_before_conversion(self, monkeypatch, fmt):
@@ -470,7 +471,8 @@ class TestOutputBudget:
         monkeypatch.setattr(cli, "_big_decimal", no_conversion)
         code, out, err = invoke([f"--format={fmt}", "count", "30000"])  # 6,271 digits
         assert (code, out) == (3, "")
-        assert err.startswith("resource limit: result exceeds the output budget")
+        budget = "(MAX_OUTPUT_DIGITS = 5000 decimal digits); asked for at least 6271"
+        assert err == f"resource limit: result exceeds the output budget {budget}\n"
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_run_leaves_the_interpreter_digit_limit_alone(self, monkeypatch, fmt):

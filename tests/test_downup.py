@@ -82,6 +82,11 @@ class TestDuNormalOrder:
         with pytest.raises(DomainError, match="three rationals"):
             du_equivalent("DU", "UD", params)
 
+    @pytest.mark.parametrize("values", [(1, 1), (1, 0, 1, 0), (None, 1, 1), ("1/0", 0, 1), ()])
+    def test_of_refuses_anything_but_three_rationals(self, values):
+        with pytest.raises(DomainError, match="three rationals"):
+            DownUpParams.of(*values)
+
     def test_params_built_directly_are_coerced(self):
         expected = du_normal_order("DDU", (Fraction(1, 2), 0, 1))
         assert du_normal_order("DDU", DownUpParams(0.5, 0, 1)) == expected
@@ -164,7 +169,8 @@ class TestRewriteBudget:
         with pytest.raises(ResourceLimitError) as info:
             du_normal_order(word, (1, 1, 1))
         assert str(info.value) == (
-            f"normal ordering exceeds the rewrite budget (MAX_REWRITES = {needed - 1} words rewritten)"
+            "normal ordering exceeds the rewrite budget"
+            f" (MAX_REWRITES = {needed - 1} words rewritten); reached {needed - 1}"
         )
         assert info.value.partial_count == needed - 1
 

@@ -25,25 +25,44 @@ from weylwords import (
     apply_to_monomial,
     canonical_form,
     class_size,
+    column_states,
+    count_classes,
+    count_table,
     du_equivalent,
     du_normal_order,
     equivalence,
+    equivalence_class,
     equivalent,
     ferrers_board,
+    final_height,
     height_polys,
     irreducible_factorization,
+    is_balanced,
     is_cdyck,
+    is_falling,
+    is_rising,
     is_up_normal,
+    mean_size_series,
     navon_expand,
     normal_order,
+    omega,
+    parse_word,
     prefix_heights,
     rook_equivalent,
     rook_numbers,
     signature,
     standard_path,
     tensor_equivalent,
+    total_classes,
+    up_normal_form,
+    wet_probability,
 )
-from weylwords.enumeration import brute_force_class_counts, cdyck_class_counts_by_normal_form
+from weylwords.enumeration import (
+    brute_force_class_counts,
+    cdyck_class_counts_by_normal_form,
+    count_classes_cdyck,
+    total_classes_cdyck,
+)
 from weylwords.equivalence import (
     _BLOCK_CUTOFF,
     _byte_tables,
@@ -278,8 +297,24 @@ class TestTypedErrors:
             lambda: rook_numbers(ferrers_board("DU"), None),
             lambda: apply_to_monomial("DU", 1.5),
             lambda: apply_to_monomial("DU", "1"),
+            lambda: count_classes(5, 2.5),
+            lambda: count_classes(5.0, 2),
+            lambda: total_classes(2.0),
+            lambda: count_table(2.0),
+            lambda: brute_force_class_counts(4.0),
+            lambda: count_classes_cdyck(6.0, 1, 2),
+            lambda: total_classes_cdyck(6.0, 2),
+            lambda: column_states(3, 3.5),
+            lambda: column_states(1.0, 3),
+            lambda: mean_size_series(3.0),
+            lambda: wet_probability(2, 0.0, 2),
+            lambda: wet_probability("2", 0, 2),
+            lambda: equivalence_class("DUUD", cap=1.5),
+            lambda: equivalence_class("DUUD", cap="10"),
         ],
-        ids=["rook_numbers_float", "rook_numbers_str", "rook_numbers_none", "apply_float", "apply_str"],
+        ids=["rook_numbers_float", "rook_numbers_str", "rook_numbers_none", "apply_float", "apply_str"]
+        + ["count_k", "count_n", "total", "table", "brute", "cdyck_count", "cdyck_total"]
+        + ["column_order", "column_t", "series_order", "site_x", "site_t", "cap_float", "cap_str"],
     )
     def test_integer_arguments_that_are_not_integers(self, call):
         with pytest.raises(DomainError, match="must be an integer"):
@@ -289,6 +324,8 @@ class TestTypedErrors:
         board = ferrers_board("DDUDU")
         assert rook_numbers(board, True) == rook_numbers(board, 1) == [1, 5]
         assert apply_to_monomial("DU", True) == apply_to_monomial("DU", 1)
+        assert count_classes(True, 1) == count_classes(1, 1)
+        assert equivalence_class("U", cap=True).members == {"U"}
 
     @pytest.mark.parametrize(
         "call",
@@ -306,6 +343,28 @@ class TestTypedErrors:
     def test_words_that_are_not_iterable(self, call):
         with pytest.raises(ParseError, match="must be a str, got (NoneType|int)"):
             call()
+
+    @pytest.mark.parametrize("word", [None, 123, b"UD", ["U", "D"]], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            parse_word, final_height, is_rising, is_balanced, is_falling, up_normal_form,
+            omega, signature, canonical_form, irreducible_factorization,
+            lambda w: equivalent(w, "UD"), lambda w: equivalent("UD", w),
+        ],
+        ids=["parse_word", "final_height", "is_rising", "is_balanced", "is_falling"]
+        + ["up_normal_form", "omega", "signature", "canonical_form", "factorization"]
+        + ["equivalent_left", "equivalent_right"],
+    )
+    def test_words_that_are_not_str_are_refused_before_any_letter_is_read(self, call, word):
+        with pytest.raises(ParseError, match=f"must be a str, got {type(word).__name__}$"):
+            call(word)
+
+    def test_bytes_are_not_read_as_letters(self):
+        with pytest.raises(ParseError) as info:
+            signature(b"UX")
+        assert str(info.value) == "a word must be a str, got bytes"
+        assert info.value.position is None
 
 
 class TestEntryChecks:
