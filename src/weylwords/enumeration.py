@@ -152,6 +152,15 @@ def _check_c(c) -> None:
         raise DomainError(f"c must be an integer >= 1, got {c!r}")
 
 
+def _as_rational(c) -> Fraction:
+    """The prefix threshold ``c`` as a Fraction, from anything ``Fraction``
+    takes (an int, a float such as 0.5, a Fraction); else :class:`DomainError`."""
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"c must be a rational number, got {c!r}") from None
+
+
 def count_classes_cdyck(n: int, k: int, c: int) -> int:
     """a_c(n, k): classes meeting the words whose prefixes have #U >= c #D.
 
@@ -198,7 +207,7 @@ def is_cdyck(word: str, c) -> bool:
     """
     if not isinstance(word, str):
         _check_word(word)
-    c = Fraction(c)
+    c = _as_rational(c)
     ups = downs = 0
     for ch in word:
         if ch == "U":
@@ -239,7 +248,7 @@ def brute_force_class_counts(n: int, c=None) -> list[int]:
     words when ``c`` is given), partitions by signature and returns the
     number of distinct classes for each k = 0 ... n, for n <= MAX_BRUTE_LENGTH.
     """
-    threshold = None if c is None else Fraction(c)
+    threshold = None if c is None else _as_rational(c)
     keep = None if threshold is None else (lambda word: is_cdyck(word, threshold))
     return [len(s) for s in _signatures_by_k(n, keep)]
 
@@ -252,7 +261,7 @@ def cdyck_class_counts_by_normal_form(n: int, c) -> list[int]:
     signatures of length-n words whose up-normal form passes the filter
     must reproduce :func:`brute_force_class_counts`.
     """
-    threshold = Fraction(c)
+    threshold = _as_rational(c)
     if threshold < 1:
         raise DomainError("the canonical-member characterization needs c >= 1")
 

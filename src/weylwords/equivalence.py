@@ -38,7 +38,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError
-from .words import LaurentPoly, _check_word, is_rising, omega
+from .words import LaurentPoly, _check_word, is_rising
 
 # Shorter words take the letter loop.  The two walks cost the same at about
 # 80-90 random letters (2-vCPU Xeon, CPython 3.11).
@@ -197,11 +197,15 @@ def up_normal_from_signature(sig: EquivSignature) -> str:
     return _up_normal(sig.final_height, sig.ne_heights._terms)
 
 
-def _up_normal(e: int, ne: dict[int, int]) -> str:
+def _up_normal(e: int, ne: dict[int, int], mirrored: bool = False) -> str:
     """:func:`up_normal_from_signature` from the final height and the
     zero-free map of up-step heights, with no polynomial built.  The word
     is one ``join`` over the D runs and one shared piece per distinct
-    count, so besides the result it holds one pointer per height."""
+    count, so besides the result it holds one pointer per height.
+
+    ``mirrored`` gives the word's image under :func:`~weylwords.words.omega`
+    from the same ``join``: the pieces in reverse order, D and U swapped,
+    so that no second copy of the word is made."""
     if not ne:
         if e != 0:
             raise DomainError(f"no word has signature {EquivSignature(e, LaurentPoly(ne))}")
@@ -211,8 +215,12 @@ def _up_normal(e: int, ne: dict[int, int]) -> str:
     a, b = -lo, hi + 1 - e
     if a < 0 or b < 0 or any(c <= 0 for c in counts):
         raise DomainError(f"no rising word has signature {EquivSignature(e, LaurentPoly(ne))}")
-    pieces = {c: "UD" * (c - 1) + "U" for c in set(counts)}
-    return "".join(["D" * a, *map(pieces.__getitem__, counts), "D" * b])
+    up, down = "DU" if mirrored else "UD"
+    if mirrored:
+        counts.reverse()
+        a, b = b, a
+    pieces = {c: (up + down) * (c - 1) + up for c in set(counts)}
+    return "".join([down * a, *map(pieces.__getitem__, counts), down * b])
 
 
 def up_normal_form(word: str) -> str:
@@ -236,14 +244,20 @@ def canonical_form(word: str) -> str:
     """
     e, a = _ne_walk(word)
     falling = e < 0
-    if falling:  # omega(w) ends at -e, and a'_(g-1-e) = b_g as h'_i = h_(n-i) - e
-        e, a = -e, {g - 1 - e: c for g, c in _down_heights(e, a).items()}
-    normal = _up_normal(e, a)
-    canonical = omega(normal) if falling else normal
+    if falling:
+        # omega(w) ends at -e, and a'_(g-1-e) = b_g as h'_i = h_(n-i) - e;
+        # by _down_heights' crossing identity, a'_k = a_(k+e) + [0 <= k < -e].
+        # Built straight from ``a``, so at most two height maps are alive.
+        e, a = -e, {g - e: c for g, c in a.items()}
+        for k in range(e):
+            a[k] = a.get(k, 0) + 1
+    canonical = _up_normal(e, a, falling)
     ups = word.count("U")
-    # is_up_normal's test without its letter check, which would hold two
-    # copies of the result: ``normal`` is made of D and U by construction.
-    valley = normal.find("DD", normal.find("U"), normal.rfind("U")) != -1
+    # is_up_normal's test, on the mirrored pattern for a falling word,
+    # without its letter check, which would hold a second copy of the
+    # result: ``canonical`` is made of D and U by construction.
+    up, down = "DU" if falling else "UD"
+    valley = canonical.find(down * 2, canonical.find(up), canonical.rfind(up)) != -1
     if valley or len(canonical) != len(word) or canonical.count("U") != ups:
         raise AssertionError(f"internal error: {canonical!r} is not the canonical form of {word!r}")
     return canonical

@@ -9,11 +9,14 @@ t-axis, every bond into x < 0 is closed, confining the cluster to x >= 0.
 The computation keeps, column by column, the exact joint distribution over
 "which sites of the column are wet" as a map from bit masks to polynomials
 in p with integer coefficients, truncated at the requested order.  Columns
-are advanced one new site at a time: given the previous column's mask, a
-new site with w wet parents turns wet with probability 1 - (1-p)^w,
-independently of its siblings (distinct new sites use disjoint bonds).
-Old-column bits are retired as soon as no unprocessed new site depends on
-them, which keeps the live state count near one column's worth of masks.
+are advanced one new site at a time: a new site with w wet parents stays
+dry with probability (1-p)^w and turns wet otherwise, independently of its
+siblings (distinct new sites use disjoint bonds).  A step shifts the old
+column's masks left by one, so that new site i finds its two parents in
+bits i and i+1; its own bit then overwrites bit i, whose old site no later
+new site reads.  States that differ only in such retired sites merge as
+the step goes, which keeps the live state count near one column's worth
+of masks.
 
 The mean cluster size S(p) = sum over sites of C(t, x; p) is correct to
 order p^N once columns 0..N are summed, since reaching column t costs at
@@ -26,74 +29,51 @@ from .errors import DomainError, _as_int, _budget_error
 
 MAX_ORDER = 14
 
-# Wetting factors by number of wet parents: (degree, coefficient) terms of
-# 1 - (1-p)^w (open) and (1-p)^w (closed).
-_OPEN = {1: ((1, 1),), 2: ((1, 2), (2, -1))}
-_CLOSED = {1: ((0, 1), (1, -1)), 2: ((0, 1), (1, -2), (2, 1))}
-
 
 def column_sites(t: int, wall: bool = False) -> list[int]:
     """The x coordinates of column t's sites, highest first."""
+    t = _as_int(t, "t")
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     bottom = -1 if wall else -t - 1
     return list(range(t, bottom, -2))
 
 
-def _mul_trunc(poly: list[int], factors: tuple[tuple[int, int], ...], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for deg, coeff in factors:
-        for e in range(order + 1 - deg):
-            if poly[e]:
-                out[e + deg] += coeff * poly[e]
-    return out
+def _add(states: dict[int, list[int]], mask: int, poly: list[int]) -> None:
+    got = states.get(mask)
+    states[mask] = poly if got is None else [a + b for a, b in zip(got, poly)]
 
 
 def _advance(states: dict[int, list[int]], t: int, wall: bool, order: int) -> dict[int, list[int]]:
-    """One transfer step: distribution over column t masks -> column t+1."""
-    old_sites = column_sites(t, wall)
-    new_sites = column_sites(t + 1, wall)
-    old_bit = {x: 1 << i for i, x in enumerate(old_sites)}
-    new_bit = {x: 1 << i for i, x in enumerate(new_sites)}
+    """One transfer step: distribution over column t masks -> column t+1.
 
-    # Keyed by (live old bits, new bits so far); dead old bits are cleared
-    # so that states differing only in consumed sites merge.
-    current: dict[tuple[int, int], list[int]] = {
-        (om, 0): poly for om, poly in states.items()
-    }
-    for x in new_sites:
-        parent_mask = old_bit.get(x - 1, 0) | old_bit.get(x + 1, 0)
-        retire = ~old_bit.get(x + 1, 0)
-        bit = new_bit[x]
-        nxt: dict[tuple[int, int], list[int]] = {}
-        for (om, nm), poly in current.items():
-            w = (om & parent_mask).bit_count()
-            om2 = om & retire
-            if w == 0:
-                key = (om2, nm)
-                if key in nxt:
-                    nxt[key] = [a + b for a, b in zip(nxt[key], poly)]
-                else:
-                    nxt[key] = poly
+    ``order`` is implied by the polynomials' length, which every product
+    keeps: truncation is the ``zip`` in each shifted difference.
+    """
+    last = len(column_sites(t + 1, wall)) - 1
+    current = {mask << 1: poly for mask, poly in states.items()}
+    for i in range(last + 1):
+        parents, bit = 3 << i, 1 << i
+        # The last site also clears the bits above it (the old x = 0 under
+        # the wall, which no later site reads).
+        keep = bit - 1 if i == last else ~bit
+        nxt: dict[int, list[int]] = {}
+        for mask, poly in current.items():
+            w = (mask & parents).bit_count()
+            mask &= keep
+            if not w:
+                _add(nxt, mask, poly)
                 continue
-            for factors, mask in ((_CLOSED[w], nm), (_OPEN[w], nm | bit)):
-                prod = _mul_trunc(poly, factors, order)
-                if not any(prod):
-                    continue
-                key = (om2, mask)
-                if key in nxt:
-                    nxt[key] = [a + b for a, b in zip(nxt[key], prod)]
-                else:
-                    nxt[key] = prod
+            dry = poly
+            for _ in range(w):  # times (1 - p) per wet parent
+                dry = [a - b for a, b in zip(dry, [0, *dry])]
+            wet = [a - b for a, b in zip(poly, dry)]
+            if any(dry):
+                _add(nxt, mask, dry)
+            if any(wet):
+                _add(nxt, mask | bit, wet)
         current = nxt
-
-    merged: dict[int, list[int]] = {}
-    for (_, nm), poly in current.items():
-        if nm in merged:
-            merged[nm] = [a + b for a, b in zip(merged[nm], poly)]
-        else:
-            merged[nm] = poly
-    return merged
+    return current
 
 
 def _check_order(order: int) -> int:
@@ -161,9 +141,7 @@ def mean_size_series(order: int, wall: bool = False) -> list[int]:
         for mask, poly in states.items():
             wet = mask.bit_count()
             if wet:
-                for e, coeff in enumerate(poly):
-                    if coeff:
-                        total[e] += wet * coeff
+                total = [a + wet * b for a, b in zip(total, poly)]
         if t < order:
             states = _advance(states, t, wall, order)
     return total

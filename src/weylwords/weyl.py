@@ -261,6 +261,7 @@ def matrix_rank_counts(board: FerrersBoard, p: int, ambient_n: int) -> list[int]
     coordinates of a column of height h, so a filling of rank k keeps its
     rank in p^k ways and raises it in p^h - p^k ways.
     """
+    p, ambient_n = _as_int(p, "p"), _as_int(ambient_n, "ambient_n")
     if not _is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     if not board.col_heights:

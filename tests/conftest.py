@@ -12,6 +12,7 @@ from weylwords import (
     ResourceLimitError,
     WeylElement,
     apply_to_monomial,
+    column_sites,
     ferrers_board,
     prefix_heights,
     rook_numbers,
@@ -481,3 +482,67 @@ def du_normal_terms_recursive(word, params, strategy, memo):
                     del result[w]
     memo[word] = result
     return result
+
+
+# Wetting factors by number of wet parents: (degree, coefficient) terms of
+# 1 - (1-p)^w (open) and (1-p)^w (closed).
+_OPEN = {1: ((1, 1),), 2: ((1, 2), (2, -1))}
+_CLOSED = {1: ((0, 1), (1, -1)), 2: ((0, 1), (1, -2), (2, 1))}
+
+
+def _mul_trunc(poly: list[int], factors: tuple[tuple[int, int], ...], order: int) -> list[int]:
+    out = [0] * (order + 1)
+    for deg, coeff in factors:
+        for e in range(order + 1 - deg):
+            if poly[e]:
+                out[e + deg] += coeff * poly[e]
+    return out
+
+
+def advance_by_site_pairs(states: dict[int, list[int]], t: int, wall: bool, order: int) -> dict[int, list[int]]:
+    """One transfer step keyed by (live old bits, new bits) pairs, with
+    tabulated wetting factors and a final merge of the pair keys: the
+    reference for ``percolation._advance``."""
+    old_sites = column_sites(t, wall)
+    new_sites = column_sites(t + 1, wall)
+    old_bit = {x: 1 << i for i, x in enumerate(old_sites)}
+    new_bit = {x: 1 << i for i, x in enumerate(new_sites)}
+
+    # Keyed by (live old bits, new bits so far); dead old bits are cleared
+    # so that states differing only in consumed sites merge.
+    current: dict[tuple[int, int], list[int]] = {
+        (om, 0): poly for om, poly in states.items()
+    }
+    for x in new_sites:
+        parent_mask = old_bit.get(x - 1, 0) | old_bit.get(x + 1, 0)
+        retire = ~old_bit.get(x + 1, 0)
+        bit = new_bit[x]
+        nxt: dict[tuple[int, int], list[int]] = {}
+        for (om, nm), poly in current.items():
+            w = (om & parent_mask).bit_count()
+            om2 = om & retire
+            if w == 0:
+                key = (om2, nm)
+                if key in nxt:
+                    nxt[key] = [a + b for a, b in zip(nxt[key], poly)]
+                else:
+                    nxt[key] = poly
+                continue
+            for factors, mask in ((_CLOSED[w], nm), (_OPEN[w], nm | bit)):
+                prod = _mul_trunc(poly, factors, order)
+                if not any(prod):
+                    continue
+                key = (om2, mask)
+                if key in nxt:
+                    nxt[key] = [a + b for a, b in zip(nxt[key], prod)]
+                else:
+                    nxt[key] = prod
+        current = nxt
+
+    merged: dict[int, list[int]] = {}
+    for (_, nm), poly in current.items():
+        if nm in merged:
+            merged[nm] = [a + b for a, b in zip(merged[nm], poly)]
+        else:
+            merged[nm] = poly
+    return merged

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conftest import advance_by_site_pairs
 from weylwords import (
     DomainError,
     ResourceLimitError,
@@ -74,6 +75,12 @@ class TestMeanSizeSeries:
     def test_order_guard(self):
         with pytest.raises(ResourceLimitError):
             mean_size_series(15)
+
+    @pytest.mark.parametrize("wall", [False, True])
+    def test_lower_orders_are_prefixes(self, wall):
+        top = mean_size_series(14, wall)
+        for order in range(15):
+            assert mean_size_series(order, wall) == top[: order + 1]
 
 
 class TestColumnStates:
@@ -155,6 +162,18 @@ class TestAgainstBondEnumeration:
         for poly in wet_polys.values():
             total = [a + b for a, b in zip(total, poly)]
         assert mean_size_series(order, wall=wall) == total
+
+
+class TestTransferStep:
+    @pytest.mark.parametrize("wall", [False, True])
+    def test_equals_the_site_pair_reference(self, wall):
+        """Every column state, orders 0-14, steps from columns t <= order + 2."""
+        for order in range(15):
+            states = {1: [1] + [0] * order}
+            for t in range(order + 3):
+                expected = advance_by_site_pairs(states, t, wall, order)
+                assert _advance(states, t, wall, order) == expected
+                states = expected
 
 
 class TestPastTheOrder:

@@ -13,6 +13,7 @@ shape, and entry by entry in its byte tables.
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,7 @@ from weylwords import (
     apply_to_monomial,
     canonical_form,
     class_size,
+    column_sites,
     column_states,
     count_classes,
     count_table,
@@ -42,6 +44,7 @@ from weylwords import (
     is_falling,
     is_rising,
     is_up_normal,
+    matrix_rank_counts,
     mean_size_series,
     navon_expand,
     normal_order,
@@ -311,10 +314,17 @@ class TestTypedErrors:
             lambda: wet_probability("2", 0, 2),
             lambda: equivalence_class("DUUD", cap=1.5),
             lambda: equivalence_class("DUUD", cap="10"),
+            lambda: column_sites(2.5),
+            lambda: column_sites(None),
+            lambda: column_sites("3"),
+            lambda: matrix_rank_counts(ferrers_board("DUU"), 2.0, 4),
+            lambda: matrix_rank_counts(ferrers_board("DUU"), 2, None),
+            lambda: matrix_rank_counts(ferrers_board("DUU"), None, 4),
         ],
         ids=["rook_numbers_float", "rook_numbers_str", "rook_numbers_none", "apply_float", "apply_str"]
         + ["count_k", "count_n", "total", "table", "brute", "cdyck_count", "cdyck_total"]
-        + ["column_order", "column_t", "series_order", "site_x", "site_t", "cap_float", "cap_str"],
+        + ["column_order", "column_t", "series_order", "site_x", "site_t", "cap_float", "cap_str"]
+        + ["sites_float", "sites_none", "sites_str", "rank_p_float", "rank_n_none", "rank_p_none"],
     )
     def test_integer_arguments_that_are_not_integers(self, call):
         with pytest.raises(DomainError, match="must be an integer"):
@@ -326,6 +336,25 @@ class TestTypedErrors:
         assert apply_to_monomial("DU", True) == apply_to_monomial("DU", 1)
         assert count_classes(True, 1) == count_classes(1, 1)
         assert equivalence_class("U", cap=True).members == {"U"}
+        assert column_sites(True) == column_sites(1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: is_cdyck("UD", None),
+            lambda: is_cdyck("UD", "x"),
+            lambda: brute_force_class_counts(4, "x"),
+            lambda: cdyck_class_counts_by_normal_form(4, None),
+        ],
+        ids=["is_cdyck_none", "is_cdyck_str", "brute_str", "normal_form_none"],
+    )
+    def test_thresholds_that_are_not_rational(self, call):
+        with pytest.raises(DomainError, match="c must be a rational number"):
+            call()
+
+    def test_a_float_threshold_stays_accepted(self):
+        assert is_cdyck("UDD", 0.5) and not is_cdyck("UDDD", 0.5)
+        assert brute_force_class_counts(4, 0.5) == brute_force_class_counts(4, Fraction(1, 2))
 
     @pytest.mark.parametrize(
         "call",
